@@ -15,7 +15,7 @@
 use std::collections::{HashMap, VecDeque};
 
 use hbdc_core::{MemRequest, Offered};
-use hbdc_snap::{SnapError, StateReader, StateWriter};
+use hbdc_snap::{MulBuildHasher, SnapError, StateReader, StateWriter};
 
 /// One memory reference that is ready to access the cache this cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -194,7 +194,7 @@ pub struct Lsq {
     // Live stores bucketed by touched 8-byte block, each bucket in age
     // order; buckets recycle through `block_pool` so the steady state
     // allocates nothing.
-    block_stores: HashMap<u64, Vec<u64>>,
+    block_stores: HashMap<u64, Vec<u64>, MulBuildHasher>,
     block_pool: Vec<Vec<u64>>,
     // Reusable scratch for event handlers that drain-and-reclassify.
     scratch: Vec<u64>,
@@ -231,7 +231,7 @@ impl Lsq {
             n_addr_unknown: 0,
             n_prior_store: 0,
             n_overlap: 0,
-            block_stores: HashMap::new(),
+            block_stores: HashMap::default(),
             block_pool: Vec::new(),
             scratch: Vec::new(),
         }

@@ -19,8 +19,10 @@ use crate::window::Window;
 
 /// Per-stage wall-clock accounting for regression hunts, enabled by the
 /// `HBDC_STAGE_PROF` environment variable (off: a single cold branch per
-/// cycle). Totals accumulate across every simulator in the process;
-/// drivers print them via [`stageprof::dump`].
+/// cycle). Only one cycle in [`stageprof::SAMPLE`] is timed, so the probe
+/// barely perturbs what it measures; [`stageprof::dump`] scales the
+/// sampled totals back up. Totals accumulate across every simulator in
+/// the process.
 #[doc(hidden)]
 pub mod stageprof {
     use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
@@ -36,6 +38,12 @@ pub mod stageprof {
         "port_tick",
     ];
     pub static NS: [AtomicU64; 7] = [const { AtomicU64::new(0) }; 7];
+    /// Number of timed cycles.
+    pub static SAMPLES: AtomicU64 = AtomicU64::new(0);
+
+    /// Sampling period: the cycles whose number is a multiple of this
+    /// are timed; the dump multiplies by it to estimate full totals.
+    pub const SAMPLE: u64 = 64;
 
     pub fn enabled() -> bool {
         static ON: OnceLock<bool> = OnceLock::new();
@@ -46,10 +54,36 @@ pub mod stageprof {
         NS[stage].fetch_add(ns, Relaxed);
     }
 
+    /// Cost of one stage lap with no work in it (a clock read plus an
+    /// atomic add), measured on the spot: the fastest of several
+    /// batches, so a preempted batch does not inflate it.
+    fn lap_ns() -> f64 {
+        const N: u32 = 5_000;
+        let sink = AtomicU64::new(0);
+        (0..20)
+            .map(|_| {
+                let start = std::time::Instant::now();
+                let mut t = start;
+                for _ in 0..N {
+                    let now = std::time::Instant::now();
+                    sink.fetch_add((now - t).as_nanos() as u64, Relaxed);
+                    t = now;
+                }
+                start.elapsed().as_nanos() as f64 / f64::from(N)
+            })
+            .fold(f64::INFINITY, f64::min)
+    }
+
+    /// Prints each stage's estimated total: its sampled time less one
+    /// lap of probe overhead per timed cycle, scaled by [`SAMPLE`].
     pub fn dump() {
         if enabled() {
+            let samples = SAMPLES.load(Relaxed) as f64;
+            let lap = lap_ns();
+            eprintln!("stageprof timed {samples} cycles, {lap:.1}ns probe cost per stage removed");
             for (name, v) in NAMES.iter().zip(&NS) {
-                eprintln!("stageprof {name} {:.3}s", v.load(Relaxed) as f64 / 1e9);
+                let ns = (v.load(Relaxed) as f64 - samples * lap).max(0.0) * SAMPLE as f64;
+                eprintln!("stageprof {name} {:.3}s", ns / 1e9);
             }
         }
     }
@@ -939,7 +973,7 @@ impl Simulator {
     /// tick) would repeat identically next cycle. That is the
     /// load-bearing guarantee behind [`skip_idle_span`](Self::skip_idle_span).
     fn cycle(&mut self) -> Result<bool, SimError> {
-        if stageprof::enabled() {
+        if self.now.is_multiple_of(stageprof::SAMPLE) && stageprof::enabled() {
             return self.cycle_profiled();
         }
         self.pipe.window_occupancy.record(self.window.len());
@@ -979,11 +1013,12 @@ impl Simulator {
     }
 
     /// [`cycle`](Self::cycle) with per-stage wall-clock accounting —
-    /// identical work, plus one `Instant` read per stage, taken only
-    /// when `HBDC_STAGE_PROF` is set.
+    /// identical work, plus one `Instant` read per stage, taken on the
+    /// sampled cycles when `HBDC_STAGE_PROF` is set.
     fn cycle_profiled(&mut self) -> Result<bool, SimError> {
         self.pipe.window_occupancy.record(self.window.len());
         self.pipe.lsq_occupancy.record(self.lsq.len());
+        stageprof::SAMPLES.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let mut t = std::time::Instant::now();
         let mut lap = |stage: usize| {
             let now = std::time::Instant::now();

@@ -2,7 +2,6 @@
 //! dataflow wakeup.
 
 use std::cell::Cell;
-use std::collections::VecDeque;
 
 use hbdc_isa::{ArchReg, Inst};
 use hbdc_snap::{SnapError, StateReader, StateWriter};
@@ -45,29 +44,34 @@ impl State {
     }
 }
 
+/// End-of-list marker for wakeup-list links.
+const NIL: u32 = u32::MAX;
+
+/// One node of the wakeup-edge arena: a link in some producer's FIFO
+/// wakeup list. Consumer slot `s` owns nodes `2s` and `2s + 1` — an
+/// instruction reads at most two registers, so it waits on at most two
+/// producers — and the consumer is recovered from the node index alone.
 #[derive(Debug, Clone, Copy)]
-struct Dependent {
-    seq: u64,
+struct Edge {
+    next: u32,
     /// Whether this edge gates the consumer's *address* (store base
     /// register) rather than only its execution.
     addr: bool,
 }
 
-#[derive(Debug)]
-struct Entry {
-    di: DynInst,
-    /// Issue/commit-relevant instruction facts, decoded once at
-    /// dispatch so the per-cycle loops read a few cached bytes instead
-    /// of re-matching (and copying) the full record.
-    meta: InstMeta,
-    state: State,
-    remaining_deps: u32,
-    /// Outstanding producers of the store's base register; when this
-    /// reaches zero the store's effective address is architecturally
-    /// known, which unblocks younger loads in the LSQ.
-    addr_deps: u32,
-    dependents: Vec<Dependent>,
-    access_done: bool, // stores: cache access performed (commit gate)
+/// A producer's wakeup list: head and tail node, or [`NIL`] when empty.
+/// Appending at the tail keeps wake order equal to dispatch order.
+#[derive(Debug, Clone, Copy)]
+struct WakeList {
+    head: u32,
+    tail: u32,
+}
+
+impl WakeList {
+    const EMPTY: Self = Self {
+        head: NIL,
+        tail: NIL,
+    };
 }
 
 /// Pre-decoded instruction facts the issue and commit stages consult
@@ -149,25 +153,37 @@ fn reg_slot(r: ArchReg) -> usize {
 /// ```
 #[derive(Debug)]
 pub struct Window {
-    entries: VecDeque<Entry>,
+    // The live window is `[base_seq, base_seq + len)`. Entry `seq` lives
+    // in ring slot `seq & mask` (the slot count is the capacity rounded
+    // up to a power of two); every per-slot array below is indexed by it.
     base_seq: u64,
+    len: usize,
     capacity: usize,
+    mask: usize,
+    // Hot per-slot state, one parallel array per field.
+    state: Vec<State>,
+    remaining_deps: Vec<u8>,
+    // Outstanding producers of the store's base register; when this
+    // reaches zero the store's effective address is architecturally
+    // known, which unblocks younger loads in the LSQ.
+    addr_deps: Vec<u8>,
+    meta: Vec<InstMeta>,
+    // Stores: cache access performed (commit gate).
+    access_done: Vec<bool>,
+    wake: Vec<WakeList>,
+    // Wakeup-edge arena, two nodes per slot (see `Edge`).
+    edges: Vec<Edge>,
+    // Cold per-slot state: the full instruction record.
+    insts: Vec<DynInst>,
     producer: [Option<u64>; 64],
-    // Ready set as a bitmap keyed by `seq % capacity`: live sequence
-    // numbers span less than `capacity`, so slots are unique. Scanning in
-    // ring order from `base_seq` recovers oldest-first iteration without
-    // the per-cycle allocation (or node churn) of an ordered set. Packed
-    // 64 slots to a word so the scan skips empty regions via
-    // `trailing_zeros` instead of testing every slot.
+    // Ready set as a bitmap over ring slots, packed 64 to a word so the
+    // oldest-first scan from `base_seq`'s slot skips empty regions via
+    // `trailing_zeros`.
     ready: Vec<u64>,
     ready_count: usize,
     completions: CompletionWheel,
     // Stores whose address became known since the last drain.
     addr_ready: Vec<u64>,
-    // Recycled `dependents` vectors: entries draw from this pool at
-    // dispatch and return their vector once their dependents are woken,
-    // so the steady-state hot loop performs no edge-list allocation.
-    dep_pool: Vec<Vec<Dependent>>,
     // Monotone cache for `oldest_not_done` — the Done prefix only grows.
     frontier_hint: Cell<u64>,
 }
@@ -177,31 +193,54 @@ impl Window {
     ///
     /// # Panics
     ///
-    /// Panics if `capacity` is zero.
+    /// Panics if `capacity` is zero or exceeds 2^30.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "window needs at least one entry");
+        assert!(capacity <= 1 << 30, "window capacity {capacity} too large");
+        let slots = capacity.next_power_of_two();
+        let placeholder = DynInst {
+            seq: 0,
+            pc: 0,
+            inst: Inst::Nop,
+            addr: None,
+            taken: None,
+        };
         Self {
-            entries: VecDeque::with_capacity(capacity),
             base_seq: 0,
+            len: 0,
             capacity,
+            mask: slots - 1,
+            state: vec![State::Waiting; slots],
+            remaining_deps: vec![0; slots],
+            addr_deps: vec![0; slots],
+            meta: vec![InstMeta::of(&Inst::Nop); slots],
+            access_done: vec![false; slots],
+            wake: vec![WakeList::EMPTY; slots],
+            edges: vec![
+                Edge {
+                    next: NIL,
+                    addr: false
+                };
+                2 * slots
+            ],
+            insts: vec![placeholder; slots],
             producer: [None; 64],
-            ready: vec![0; capacity.div_ceil(64)],
+            ready: vec![0; slots.div_ceil(64)],
             ready_count: 0,
             completions: CompletionWheel::new(),
             addr_ready: Vec::new(),
-            dep_pool: Vec::new(),
             frontier_hint: Cell::new(0),
         }
     }
 
     /// Current occupancy.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.len
     }
 
     /// Whether the window is empty.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len == 0
     }
 
     /// The window's Done prefix as a backlog-span commit budget: how
@@ -214,39 +253,48 @@ impl Window {
     /// while the port model keeps ticking, so the span engine declines.
     pub(crate) fn span_commit_prefix(&self) -> Option<(usize, bool)> {
         let frontier = self.oldest_not_done();
-        if frontier >= self.base_seq + self.entries.len() as u64 {
+        if frontier >= self.base_seq + self.len as u64 {
             return None;
         }
         let len = (frontier - self.base_seq) as usize;
-        let halt = self.entries.iter().take(len).any(|e| e.meta.halt);
+        let halt = (self.base_seq..frontier).any(|seq| self.meta[self.slot(seq)].halt);
         Some((len, halt))
     }
 
     /// Whether the window has room for another instruction.
     pub fn has_space(&self) -> bool {
-        self.entries.len() < self.capacity
+        self.len < self.capacity
     }
 
-    fn idx(&self, seq: u64) -> usize {
-        debug_assert!(seq >= self.base_seq, "seq already committed");
-        (seq - self.base_seq) as usize
+    /// Ring slot of `seq`, which the caller knows to be live.
+    #[inline]
+    fn slot(&self, seq: u64) -> usize {
+        seq as usize & self.mask
     }
 
-    fn entry(&self, seq: u64) -> &Entry {
-        &self.entries[self.idx(seq)]
+    /// Ring slot of `seq`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `seq` is not in the live window.
+    #[inline]
+    fn live_slot(&self, seq: u64) -> usize {
+        assert!(
+            seq.wrapping_sub(self.base_seq) < self.len as u64,
+            "seq {seq} outside the live window [{}, {})",
+            self.base_seq,
+            self.base_seq + self.len as u64
+        );
+        self.slot(seq)
     }
 
-    fn entry_mut(&mut self, seq: u64) -> &mut Entry {
-        let i = self.idx(seq);
-        &mut self.entries[i]
+    /// Sequence number of the live entry in ring slot `slot`.
+    #[inline]
+    fn seq_at(&self, slot: usize) -> u64 {
+        self.base_seq + (slot.wrapping_sub(self.base_seq as usize) & self.mask) as u64
     }
 
-    fn ready_slot(&self, seq: u64) -> usize {
-        (seq % self.capacity as u64) as usize
-    }
-
-    fn set_ready(&mut self, seq: u64) {
-        let s = self.ready_slot(seq);
+    fn set_ready(&mut self, s: usize) {
         debug_assert_eq!(
             self.ready[s >> 6] >> (s & 63) & 1,
             0,
@@ -256,6 +304,33 @@ impl Window {
         self.ready_count += 1;
     }
 
+    /// Appends edge `node` to the tail of producer slot `p`'s wakeup list.
+    fn link(&mut self, p: usize, node: u32, addr: bool) {
+        self.edges[node as usize] = Edge { next: NIL, addr };
+        let list = &mut self.wake[p];
+        if list.tail == NIL {
+            list.head = node;
+        } else {
+            self.edges[list.tail as usize].next = node;
+        }
+        list.tail = node;
+    }
+
+    /// Producer slot `p`'s wakeup list in wake order, as
+    /// (consumer seq, address edge) pairs.
+    fn dependents(&self, p: usize) -> impl Iterator<Item = (u64, bool)> + '_ {
+        let mut node = self.wake[p].head;
+        std::iter::from_fn(move || {
+            if node == NIL {
+                return None;
+            }
+            let e = self.edges[node as usize];
+            let consumer = self.seq_at(node as usize >> 1);
+            node = e.next;
+            Some((consumer, e.addr))
+        })
+    }
+
     /// Dispatches the next instruction in program order.
     ///
     /// # Panics
@@ -263,21 +338,23 @@ impl Window {
     /// Panics if the window is full or `di.seq` is out of order.
     pub fn dispatch(&mut self, di: DynInst) {
         assert!(self.has_space(), "dispatch into full window");
-        let expected = self.base_seq + self.entries.len() as u64;
+        let expected = self.base_seq + self.len as u64;
         assert_eq!(di.seq, expected, "dispatch out of program order");
 
+        let s = self.slot(di.seq);
         let meta = InstMeta::of(&di.inst);
         let is_store = meta.store;
         let base = di.inst.mem_base().map(hbdc_isa::ArchReg::Int);
-        let mut remaining = 0u32;
-        let mut addr_deps = 0u32;
+        let mut remaining = 0u8;
+        let mut addr_deps = 0u8;
+        self.wake[s] = WakeList::EMPTY;
         di.inst.for_each_use(|u| {
             if let Some(prod_seq) = self.producer[reg_slot(u)] {
                 if prod_seq >= self.base_seq {
-                    let prod = self.entry_mut(prod_seq);
-                    if prod.state != State::Done {
+                    let p = self.slot(prod_seq);
+                    if self.state[p] != State::Done {
                         let addr = is_store && Some(u) == base;
-                        prod.dependents.push(Dependent { seq: di.seq, addr });
+                        self.link(p, (s << 1) as u32 | remaining as u32, addr);
                         remaining += 1;
                         if addr {
                             addr_deps += 1;
@@ -293,21 +370,18 @@ impl Window {
             // Base register already available: address known at dispatch.
             self.addr_ready.push(di.seq);
         }
-        let state = if remaining == 0 {
-            self.set_ready(di.seq);
+        self.state[s] = if remaining == 0 {
+            self.set_ready(s);
             State::Ready
         } else {
             State::Waiting
         };
-        self.entries.push_back(Entry {
-            di,
-            meta,
-            state,
-            remaining_deps: remaining,
-            addr_deps,
-            dependents: self.dep_pool.pop().unwrap_or_default(),
-            access_done: false,
-        });
+        self.remaining_deps[s] = remaining;
+        self.addr_deps[s] = addr_deps;
+        self.meta[s] = meta;
+        self.access_done[s] = false;
+        self.insts[s] = di;
+        self.len += 1;
     }
 
     /// Drains the stores whose effective address has become
@@ -360,11 +434,11 @@ impl Window {
             return;
         }
         let max = max.min(self.ready_count);
-        // The live window occupies `entries.len()` ring slots starting at
-        // the base sequence's slot; a wrap splits it into two linear spans.
-        let start = self.ready_slot(self.base_seq);
-        let span1 = (self.capacity - start).min(self.entries.len());
-        let span2 = self.entries.len() - span1;
+        // The live window occupies `len` ring slots starting at the base
+        // sequence's slot; a wrap splits it into two linear spans.
+        let start = self.slot(self.base_seq);
+        let span1 = (self.mask + 1 - start).min(self.len);
+        let span2 = self.len - span1;
         if self.scan_ready_span(start, span1, self.base_seq, max, out) && span2 > 0 {
             self.scan_ready_span(0, span2, self.base_seq + span1 as u64, max, out);
         }
@@ -385,14 +459,14 @@ impl Window {
 
     /// The instruction record at `seq`.
     pub fn inst(&self, seq: u64) -> &DynInst {
-        &self.entry(seq).di
+        &self.insts[self.live_slot(seq)]
     }
 
     /// The cached instruction facts for `seq` — what the issue stage
     /// reads each cycle instead of copying the record out and
     /// re-matching the opcode.
     pub fn meta(&self, seq: u64) -> InstMeta {
-        self.entry(seq).meta
+        self.meta[self.live_slot(seq)]
     }
 
     /// Marks `seq` issued. `complete_at` is the cycle its result appears,
@@ -403,14 +477,14 @@ impl Window {
     ///
     /// Panics if the entry is not ready.
     pub fn mark_issued(&mut self, seq: u64, complete_at: Option<u64>) {
-        let s = self.ready_slot(seq);
+        let s = self.live_slot(seq);
         assert!(
             self.ready[s >> 6] >> (s & 63) & 1 == 1,
             "issue of non-ready entry"
         );
         self.ready[s >> 6] &= !(1 << (s & 63));
         self.ready_count -= 1;
-        self.entry_mut(seq).state = State::Issued;
+        self.state[s] = State::Issued;
         if let Some(at) = complete_at {
             self.completions.push(at, seq);
         }
@@ -419,7 +493,8 @@ impl Window {
     /// Schedules the completion of an already-issued entry (loads, once
     /// the cache grants their access and the fill latency is known).
     pub fn set_complete_at(&mut self, seq: u64, at: u64) {
-        debug_assert_eq!(self.entry(seq).state, State::Issued);
+        let s = self.live_slot(seq);
+        debug_assert_eq!(self.state[s], State::Issued);
         self.completions.push(at, seq);
     }
 
@@ -435,37 +510,30 @@ impl Window {
                 continue; // already committed (defensive)
             }
             completed += 1;
-            let mut dependents = {
-                let e = self.entry_mut(seq);
-                debug_assert_eq!(e.state, State::Issued);
-                e.state = State::Done;
-                std::mem::take(&mut e.dependents)
-            };
-            for &dep in &dependents {
-                if dep.seq < self.base_seq {
-                    continue;
-                }
-                let e = self.entry_mut(dep.seq);
-                e.remaining_deps -= 1;
-                let addr_now_known = if dep.addr {
-                    e.addr_deps -= 1;
-                    e.addr_deps == 0
-                } else {
-                    false
+            // Events are only scheduled for live entries, and consumers
+            // are younger than their live producer: both slots are live.
+            let s = self.slot(seq);
+            debug_assert_eq!(self.state[s], State::Issued);
+            self.state[s] = State::Done;
+            let mut node = self.wake[s].head;
+            self.wake[s] = WakeList::EMPTY;
+            while node != NIL {
+                let Edge { next, addr } = self.edges[node as usize];
+                let c = node as usize >> 1;
+                self.remaining_deps[c] -= 1;
+                let addr_now_known = addr && {
+                    self.addr_deps[c] -= 1;
+                    self.addr_deps[c] == 0
                 };
-                let woken = e.remaining_deps == 0 && e.state == State::Waiting;
-                if woken {
-                    e.state = State::Ready;
-                }
                 if addr_now_known {
-                    self.addr_ready.push(dep.seq);
+                    self.addr_ready.push(self.seq_at(c));
                 }
-                if woken {
-                    self.set_ready(dep.seq);
+                if self.remaining_deps[c] == 0 && self.state[c] == State::Waiting {
+                    self.state[c] = State::Ready;
+                    self.set_ready(c);
                 }
+                node = next;
             }
-            dependents.clear();
-            self.dep_pool.push(dependents);
         }
         completed
     }
@@ -479,7 +547,7 @@ impl Window {
 
     /// Whether `seq` has produced its result.
     pub fn is_done(&self, seq: u64) -> bool {
-        self.entry(seq).state == State::Done
+        self.state[self.live_slot(seq)] == State::Done
     }
 
     /// Whether `seq` has produced its result *or already committed* —
@@ -490,24 +558,24 @@ impl Window {
 
     /// Records that a store's commit-time cache access has been performed.
     pub fn mark_access_done(&mut self, seq: u64) {
-        self.entry_mut(seq).access_done = true;
+        let s = self.live_slot(seq);
+        self.access_done[s] = true;
     }
 
     /// Whether a store's cache access has been performed.
     pub fn access_done(&self, seq: u64) -> bool {
-        self.entry(seq).access_done
+        self.access_done[self.live_slot(seq)]
     }
 
     /// Sequence number of the oldest entry that is not yet Done; all
     /// entries older than this are complete. Returns one past the youngest
     /// entry when everything is Done (or the window is empty).
     pub fn oldest_not_done(&self) -> u64 {
-        let start = self.frontier_hint.get().max(self.base_seq);
-        let mut i = (start - self.base_seq) as usize;
-        while i < self.entries.len() && self.entries[i].state == State::Done {
-            i += 1;
+        let end = self.base_seq + self.len as u64;
+        let mut frontier = self.frontier_hint.get().max(self.base_seq);
+        while frontier < end && self.state[self.slot(frontier)] == State::Done {
+            frontier += 1;
         }
-        let frontier = self.base_seq + i as u64;
         self.frontier_hint.set(frontier);
         frontier
     }
@@ -516,8 +584,8 @@ impl Window {
     #[doc(hidden)]
     pub fn state_census(&self) -> (usize, usize, usize, usize) {
         let mut c = (0, 0, 0, 0);
-        for e in &self.entries {
-            match e.state {
+        for seq in self.base_seq..self.base_seq + self.len as u64 {
+            match self.state[self.slot(seq)] {
                 State::Waiting => c.0 += 1,
                 State::Ready => c.1 += 1,
                 State::Issued => c.2 += 1,
@@ -527,28 +595,19 @@ impl Window {
         c
     }
 
-    /// Shared retirement walk: pops up to `max` front entries that are
-    /// Done (and, for stores, access-performed), pushing `f(&entry)`
+    /// Shared retirement walk: retires up to `max` front entries that are
+    /// Done (and, for stores, access-performed), pushing `f(self, slot)`
     /// into `out` (cleared first) for each.
-    fn commit_with<T>(&mut self, max: u32, out: &mut Vec<T>, f: impl Fn(&Entry) -> T) {
+    fn commit_with<T>(&mut self, max: u32, out: &mut Vec<T>, f: impl Fn(&Self, usize) -> T) {
         out.clear();
-        while out.len() < max as usize {
-            match self.entries.front() {
-                Some(e) if e.state == State::Done => {
-                    if e.meta.store && !e.access_done {
-                        break;
-                    }
-                    let e = self.entries.pop_front().expect("front checked");
-                    self.base_seq += 1;
-                    out.push(f(&e));
-                    if e.dependents.capacity() > 0 {
-                        let mut deps = e.dependents;
-                        deps.clear();
-                        self.dep_pool.push(deps);
-                    }
-                }
-                _ => break,
+        while out.len() < max as usize && self.len > 0 {
+            let s = self.slot(self.base_seq);
+            if self.state[s] != State::Done || (self.meta[s].store && !self.access_done[s]) {
+                break;
             }
+            out.push(f(self, s));
+            self.base_seq += 1;
+            self.len -= 1;
         }
     }
 
@@ -556,16 +615,16 @@ impl Window {
     /// `out` (cleared first). An entry retires if it is Done and, for
     /// stores, its cache access has been performed.
     pub fn commit_into(&mut self, max: u32, out: &mut Vec<DynInst>) {
-        self.commit_with(max, out, |e| e.di);
+        self.commit_with(max, out, |w, s| w.insts[s]);
     }
 
     /// Like [`commit_into`](Self::commit_into), but yields only each
     /// retired entry's sequence number and cached instruction facts —
     /// the simulator's hot path, which never needs the full record.
     pub fn commit_compact_into(&mut self, max: u32, out: &mut Vec<Retired>) {
-        self.commit_with(max, out, |e| Retired {
-            seq: e.di.seq,
-            meta: e.meta,
+        self.commit_with(max, out, |w, s| Retired {
+            seq: w.base_seq,
+            meta: w.meta[s],
         });
     }
 
@@ -581,34 +640,30 @@ impl Window {
     /// The instruction record at `seq`, or `None` if it is not live in
     /// the window (diagnostics; [`inst`](Self::inst) panics instead).
     pub fn get(&self, seq: u64) -> Option<&DynInst> {
-        if seq < self.base_seq {
-            return None;
-        }
-        self.entries
-            .get((seq - self.base_seq) as usize)
-            .map(|e| &e.di)
+        (seq.wrapping_sub(self.base_seq) < self.len as u64).then(|| &self.insts[self.slot(seq)])
     }
 
     /// Serializes the window's architectural timing state: every live
-    /// entry (as a slim dynamic record plus its dependence bookkeeping),
-    /// the per-register producer map, the pending completion events, and
-    /// the address-ready event queue. The ready bitmap is derivable from
-    /// entry states and is rebuilt on load; scratch (the dependent-vector
-    /// pool, the frontier hint) is not persisted.
+    /// entry (as a slim dynamic record plus its dependence bookkeeping
+    /// and its wakeup list in wake order), the per-register producer
+    /// map, the pending completion events, and the address-ready event
+    /// queue. The ready bitmap is derivable from entry states and is
+    /// rebuilt on load; scratch (the frontier hint) is not persisted.
     pub fn save_state(&self, w: &mut StateWriter) {
         w.put_u64(self.base_seq);
-        w.put_usize(self.entries.len());
-        for e in &self.entries {
-            e.di.save_slim(w);
-            w.put_u8(e.state.tag());
-            w.put_u32(e.remaining_deps);
-            w.put_u32(e.addr_deps);
-            w.put_usize(e.dependents.len());
-            for d in &e.dependents {
-                w.put_u64(d.seq);
-                w.put_bool(d.addr);
+        w.put_usize(self.len);
+        for seq in self.base_seq..self.base_seq + self.len as u64 {
+            let s = self.slot(seq);
+            self.insts[s].save_slim(w);
+            w.put_u8(self.state[s].tag());
+            w.put_u32(self.remaining_deps[s].into());
+            w.put_u32(self.addr_deps[s].into());
+            w.put_usize(self.dependents(s).count());
+            for (dep, addr) in self.dependents(s) {
+                w.put_u64(dep);
+                w.put_bool(addr);
             }
-            w.put_bool(e.access_done);
+            w.put_bool(self.access_done[s]);
         }
         for p in &self.producer {
             w.put_opt_u64(*p);
@@ -634,8 +689,13 @@ impl Window {
     /// # Errors
     ///
     /// Returns [`SnapError::Corrupt`] if the stream holds more entries
-    /// than this window's capacity, names a PC outside `text`, or carries
-    /// an unknown state tag.
+    /// than this window's capacity, names a PC outside `text`, carries
+    /// an unknown state tag, or is inconsistent with itself: an entry
+    /// whose sequence number is not its position in the window, a
+    /// dependent that is not a younger live entry, a consumer listed
+    /// under more than two producers or under a different number of
+    /// producers than it waits on, a producer-map entry or completion
+    /// event for an instruction that is not live (or not issued).
     pub fn load_state(&mut self, r: &mut StateReader<'_>, text: &[Inst]) -> Result<(), SnapError> {
         let base_seq = r.get_u64()?;
         let n = r.get_usize()?;
@@ -645,40 +705,87 @@ impl Window {
                 self.capacity
             )));
         }
+        let end = base_seq
+            .checked_add(n as u64)
+            .ok_or_else(|| SnapError::Corrupt(format!("window base seq {base_seq} overflows")))?;
         self.base_seq = base_seq;
-        self.entries.clear();
-        for _ in 0..n {
+        self.len = 0;
+        // Per entry: the (all, address) producer counts it declares, and
+        // the (all, address) edges actually listed under its producers.
+        let mut declared = vec![(0u32, 0u32); n];
+        let mut listed = vec![(0u8, 0u8); n];
+        for (i, declared) in declared.iter_mut().enumerate() {
+            let seq = base_seq + i as u64;
             let di = DynInst::load_slim(r, text)?;
-            let state = State::from_tag(r.get_u8()?)?;
-            let remaining_deps = r.get_u32()?;
-            let addr_deps = r.get_u32()?;
-            let deps = r.get_usize()?;
-            let mut dependents = self.dep_pool.pop().unwrap_or_default();
-            dependents.clear();
-            for _ in 0..deps {
-                let seq = r.get_u64()?;
-                let addr = r.get_bool()?;
-                dependents.push(Dependent { seq, addr });
+            if di.seq != seq {
+                return Err(SnapError::Corrupt(format!(
+                    "window entry {i} carries seq {} but base seq {base_seq} puts it at {seq}",
+                    di.seq
+                )));
             }
-            let access_done = r.get_bool()?;
-            self.entries.push_back(Entry {
-                meta: InstMeta::of(&di.inst),
-                di,
-                state,
-                remaining_deps,
-                addr_deps,
-                dependents,
-                access_done,
-            });
+            let s = self.slot(seq);
+            self.state[s] = State::from_tag(r.get_u8()?)?;
+            *declared = (r.get_u32()?, r.get_u32()?);
+            self.wake[s] = WakeList::EMPTY;
+            let deps = r.get_usize()?;
+            for _ in 0..deps {
+                let dep = r.get_u64()?;
+                let addr = r.get_bool()?;
+                if dep <= seq || dep >= end {
+                    return Err(SnapError::Corrupt(format!(
+                        "window entry {seq} lists dependent {dep} outside the younger live \
+                         window ({seq}, {end})"
+                    )));
+                }
+                let tally = &mut listed[(dep - base_seq) as usize];
+                if tally.0 == 2 {
+                    return Err(SnapError::Corrupt(format!(
+                        "window entry {dep} is listed under more than 2 producers"
+                    )));
+                }
+                let node = (self.slot(dep) << 1) as u32 | tally.0 as u32;
+                tally.0 += 1;
+                tally.1 += addr as u8;
+                self.link(s, node, addr);
+            }
+            self.access_done[s] = r.get_bool()?;
+            self.meta[s] = InstMeta::of(&di.inst);
+            self.insts[s] = di;
         }
+        for (i, (&(rem, addr), &(edges, addr_edges))) in declared.iter().zip(&listed).enumerate() {
+            if (rem, addr) != (edges.into(), addr_edges.into()) {
+                return Err(SnapError::Corrupt(format!(
+                    "window entry {} waits on {rem} producers ({addr} address) but is listed \
+                     under {edges} ({addr_edges} address)",
+                    base_seq + i as u64
+                )));
+            }
+            let s = self.slot(base_seq + i as u64);
+            self.remaining_deps[s] = edges;
+            self.addr_deps[s] = addr_edges;
+        }
+        self.len = n;
         for p in &mut self.producer {
             *p = r.get_opt_u64()?;
+            if let Some(seq) = *p {
+                if seq >= end {
+                    return Err(SnapError::Corrupt(format!(
+                        "producer map names seq {seq}, past the window end {end}"
+                    )));
+                }
+            }
         }
         self.completions.clear();
         let completions = r.get_usize()?;
         for _ in 0..completions {
             let at = r.get_u64()?;
             let seq = r.get_u64()?;
+            if seq.wrapping_sub(base_seq) >= n as u64 || self.state[self.slot(seq)] != State::Issued
+            {
+                return Err(SnapError::Corrupt(format!(
+                    "completion event for seq {seq}, which is not an issued live entry"
+                )));
+            }
             self.completions.push(at, seq);
         }
         self.addr_ready.clear();
@@ -689,14 +796,11 @@ impl Window {
         // Rebuild the ready bitmap from the restored entry states.
         self.ready.iter_mut().for_each(|word| *word = 0);
         self.ready_count = 0;
-        let ready_seqs: Vec<u64> = self
-            .entries
-            .iter()
-            .filter(|e| e.state == State::Ready)
-            .map(|e| e.di.seq)
-            .collect();
-        for seq in ready_seqs {
-            self.set_ready(seq);
+        for seq in base_seq..end {
+            let s = self.slot(seq);
+            if self.state[s] == State::Ready {
+                self.set_ready(s);
+            }
         }
         self.frontier_hint.set(self.base_seq);
         Ok(())
@@ -948,6 +1052,7 @@ impl CompletionHeap {
 mod tests {
     use super::*;
     use hbdc_isa::{AluOp, Inst, Reg, Width};
+    use hbdc_snap::{StateReader, StateWriter};
 
     fn alu(seq: u64, rd: u8, rs: u8, rt: u8) -> DynInst {
         DynInst {
@@ -1139,5 +1244,221 @@ mod tests {
     fn out_of_order_dispatch_panics() {
         let mut w = Window::new(4);
         w.dispatch(alu(1, 1, 0, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the live window")]
+    fn aliased_slot_outside_the_window_panics() {
+        // Capacity 5 rounds up to 8 slots: seq 8 shares seq 0's slot.
+        let mut w = Window::new(5);
+        for s in 0..4 {
+            w.dispatch(alu(s, 1, 0, 0));
+        }
+        w.meta(8);
+    }
+
+    fn save(w: &Window) -> Vec<u8> {
+        let mut out = StateWriter::new();
+        w.save_state(&mut out);
+        out.into_bytes()
+    }
+
+    fn load(capacity: usize, bytes: &[u8], text: &[Inst]) -> Result<Window, SnapError> {
+        let mut w = Window::new(capacity);
+        w.load_state(&mut StateReader::new(bytes), text)?;
+        Ok(w)
+    }
+
+    /// Runs a window of `capacity` entries through at least four ring
+    /// wraps. The window is kept full of groups — a producer of `r2`
+    /// followed by stores based on `r2` — so wakeup edges are live at
+    /// every wrap. Each round snapshots the window, restores it into a
+    /// fresh one (which must re-save to the same bytes) and continues on
+    /// the restored copy; then retires the oldest group, whose producer
+    /// must wake its stores' addresses in dispatch order.
+    fn ring_wraps_with_live_edges(capacity: usize) {
+        let text = [
+            // r2 = r3 + r0; r3 has no producer.
+            alu(0, 2, 3, 0).inst,
+            // Store r1 to (r2): one address edge.
+            store(0, 0).inst,
+            // Store r2 to (r2): two address edges from one producer.
+            Inst::Store {
+                width: Width::Word,
+                rs: Reg::new(2),
+                base: Reg::new(2),
+                offset: 0,
+            },
+        ];
+        let mk = |seq: u64, pc: usize| DynInst {
+            seq,
+            pc: pc as u32,
+            addr: (pc > 0).then_some(0x100 + 8 * seq),
+            taken: None,
+            inst: text[pc],
+        };
+        let mut w = Window::new(capacity);
+        let mut groups: std::collections::VecDeque<Vec<u64>> = Default::default();
+        let (mut next, mut now, mut round) = (0u64, 0u64, 0usize);
+        let wraps_end = 4 * capacity.next_power_of_two() as u64;
+        while next < wraps_end {
+            loop {
+                let size = 2 + (round * 7 + groups.len()) % (capacity.min(64) - 1);
+                if w.len() + size > capacity {
+                    break;
+                }
+                let group: Vec<u64> = (next..next + size as u64).collect();
+                for &seq in &group {
+                    let pc = if seq == next {
+                        0
+                    } else {
+                        1 + (seq % 3 == 0) as usize
+                    };
+                    w.dispatch(mk(seq, pc));
+                }
+                next += size as u64;
+                groups.push_back(group);
+            }
+            assert_eq!(
+                w.drain_addr_ready().count(),
+                0,
+                "every store waits on its producer"
+            );
+
+            let bytes = save(&w);
+            w = load(capacity, &bytes, &text).expect("window snapshot restores");
+            assert_eq!(save(&w), bytes, "save -> load -> save changed the bytes");
+
+            let group = groups.pop_front().expect("window holds a group");
+            let (producer, stores) = (group[0], &group[1..]);
+            now += 1;
+            w.mark_issued(producer, Some(now));
+            w.advance_completions(now);
+            let woken: Vec<u64> = w.drain_addr_ready().collect();
+            assert_eq!(
+                woken, stores,
+                "round {round}: stores woken out of dispatch order"
+            );
+            assert_eq!(&w.ready_seqs()[..stores.len()], stores);
+            now += 1;
+            for &seq in stores {
+                w.mark_issued(seq, Some(now));
+                w.mark_access_done(seq);
+            }
+            w.advance_completions(now);
+            let retired: Vec<u64> = w.commit(group.len() as u32).iter().map(|d| d.seq).collect();
+            assert_eq!(retired, group);
+            round += 1;
+        }
+    }
+
+    #[test]
+    fn ring_wraps_keep_snapshots_and_wake_order_at_capacity_5() {
+        ring_wraps_with_live_edges(5);
+    }
+
+    #[test]
+    fn ring_wraps_keep_snapshots_and_wake_order_at_capacity_1000() {
+        ring_wraps_with_live_edges(1000);
+    }
+
+    /// One window entry in `save_state`'s encoding.
+    struct RawEntry {
+        di: DynInst,
+        state: State,
+        remaining: u32,
+        deps: Vec<u64>,
+    }
+
+    /// Encodes a window stream by hand (no address edges, no stores):
+    /// `producer` maps registers to seqs, `completions` lists events.
+    fn encode(
+        base: u64,
+        entries: &[RawEntry],
+        producer: &[(usize, u64)],
+        completions: &[(u64, u64)],
+    ) -> Vec<u8> {
+        let mut w = StateWriter::new();
+        w.put_u64(base);
+        w.put_usize(entries.len());
+        for e in entries {
+            e.di.save_slim(&mut w);
+            w.put_u8(e.state.tag());
+            w.put_u32(e.remaining);
+            w.put_u32(0);
+            w.put_usize(e.deps.len());
+            for &d in &e.deps {
+                w.put_u64(d);
+                w.put_bool(false);
+            }
+            w.put_bool(false);
+        }
+        for r in 0..64 {
+            w.put_opt_u64(producer.iter().find(|p| p.0 == r).map(|p| p.1));
+        }
+        w.put_usize(completions.len());
+        for &(at, seq) in completions {
+            w.put_u64(at);
+            w.put_u64(seq);
+        }
+        w.put_usize(0);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn load_state_rejects_inconsistent_windows() {
+        // r1, r2, r5 independent; seq 3 computes r3 = r1 + r2.
+        let insts = [
+            alu(0, 1, 0, 0),
+            alu(1, 2, 0, 0),
+            alu(2, 5, 0, 0),
+            alu(3, 3, 1, 2),
+        ];
+        let text: Vec<Inst> = insts.iter().map(|d| d.inst).collect();
+        let mut w = Window::new(8);
+        for d in insts {
+            w.dispatch(d);
+        }
+        w.mark_issued(0, Some(5));
+        let entries = || {
+            let raw = |i: usize, state, remaining, deps: Vec<u64>| RawEntry {
+                di: insts[i],
+                state,
+                remaining,
+                deps,
+            };
+            vec![
+                raw(0, State::Issued, 0, vec![3]),
+                raw(1, State::Ready, 0, vec![3]),
+                raw(2, State::Ready, 0, vec![]),
+                raw(3, State::Waiting, 2, vec![]),
+            ]
+        };
+        let producer = [(1, 0), (2, 1), (5, 2), (3, 3)];
+        let completions = [(5, 0)];
+        let good = encode(0, &entries(), &producer, &completions);
+        assert_eq!(good, save(&w), "hand encoding drifted from save_state");
+        assert!(load(8, &good, &text).is_ok());
+
+        let corrupt = |bytes: Vec<u8>, what: &str| match load(8, &bytes, &text) {
+            Err(SnapError::Corrupt(_)) => {}
+            other => panic!("{what}: expected SnapError::Corrupt, got {other:?}"),
+        };
+        // An entry whose seq is not base_seq + its position.
+        let mut e = entries();
+        e[1].di.seq = 7;
+        corrupt(encode(0, &e, &producer, &completions), "misplaced seq");
+        // A dependent outside the live window.
+        let mut e = entries();
+        e[0].deps.push(6);
+        corrupt(
+            encode(0, &e, &producer, &completions),
+            "dependent past the window",
+        );
+        // A consumer listed under three producers.
+        let mut e = entries();
+        e[2].deps.push(3);
+        e[3].remaining = 3;
+        corrupt(encode(0, &e, &producer, &completions), "three producers");
     }
 }

@@ -3,7 +3,7 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 
-use hbdc_snap::{SnapError, StateReader, StateWriter};
+use hbdc_snap::{MulBuildHasher, SnapError, StateReader, StateWriter};
 
 /// Outcome of registering a miss with the [`MshrFile`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,7 +43,7 @@ pub enum MshrOutcome {
 pub struct MshrFile {
     capacity: usize,
     // line address -> completion cycle
-    entries: HashMap<u64, u64>,
+    entries: HashMap<u64, u64, MulBuildHasher>,
     // Min-heap of (completion cycle, line), kept in lockstep with
     // `entries`: a heap entry exists iff the map entry does. Merges never
     // push (the line is already present) and a line's completion cycle is
@@ -65,7 +65,7 @@ impl MshrFile {
         assert!(capacity > 0, "MSHR file needs at least one entry");
         Self {
             capacity,
-            entries: HashMap::new(),
+            entries: HashMap::default(),
             by_ready: BinaryHeap::new(),
             merges: 0,
             rejects: 0,

@@ -124,6 +124,50 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     h
 }
 
+/// Hasher for the simulator's hot integer-keyed maps (line and block
+/// addresses): one folded 64×64→128-bit multiply per word instead of
+/// SipHash's rounds. Deterministic and unkeyed — only for maps whose
+/// keys come from the simulated program, never from untrusted input.
+///
+/// # Examples
+///
+/// ```
+/// use std::collections::HashMap;
+/// use hbdc_snap::MulBuildHasher;
+///
+/// let mut m: HashMap<u64, u64, MulBuildHasher> = HashMap::default();
+/// m.insert(0x1000_0040, 7);
+/// assert_eq!(m[&0x1000_0040], 7);
+/// ```
+#[derive(Debug, Default, Clone, Copy)]
+pub struct MulHasher(u64);
+
+impl std::hash::Hasher for MulHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        // Folding the product's high half into the low half gives both
+        // the low bits (bucket index) and the high bits (control tag)
+        // full dependence on the key, even for aligned addresses.
+        let p = u128::from(self.0 ^ n) * 0x9e37_79b9_7f4a_7c15;
+        self.0 = (p as u64) ^ (p >> 64) as u64;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// [`BuildHasher`](std::hash::BuildHasher) for [`MulHasher`].
+pub type MulBuildHasher = std::hash::BuildHasherDefault<MulHasher>;
+
 /// Append-only binary encoder; the writing half of the codec.
 ///
 /// All integers are little-endian; byte strings are `u64`-length-prefixed.
