@@ -10,6 +10,7 @@
 # and quartiles for every end-to-end metric, the head/base ratio of the
 # medians, whether the median difference exceeds the base's
 # interquartile range, and in how many pairs the head was better.
+# Stops at the first run that fails or reports incorrect results.
 #
 # Environment:
 #   PERF_AB_SECONDS  seconds per run (default 40)
@@ -46,13 +47,16 @@ else
     keep=0
 fi
 cleanup() {
+    local status=$?
     for side in base head; do
         if [[ -d $work/$side ]]; then
             git -C "$repo" worktree remove --force "$work/$side" || true
         fi
     done
-    if [[ $keep == 0 ]]; then
+    if [[ $keep == 0 && $status == 0 ]]; then
         rm -rf "$work"
+    elif [[ $status != 0 ]]; then
+        echo "$0: failed; logs kept in $work" >&2
     fi
 }
 trap cleanup EXIT
@@ -73,12 +77,15 @@ results=$work/results.jsonl
 : >"$results"
 run_side() { # side pair seed
     local side=$1 out
-    out=$(cd "$work/$side" && CARGO_TARGET_DIR="$work/target-$side" \
+    if ! out=$(cd "$work/$side" && CARGO_TARGET_DIR="$work/target-$side" \
         python3 perfbench/run.py --workload "$workload" --seed "$3" --seconds "$seconds" \
-        2>>"$work/stderr-$side.log" | tail -n 1)
+        2>>"$work/stderr-$side.log" | tail -n 1); then
+        echo "$0: $side run of pair $(($2 + 1)) failed or was incorrect: $out" >&2
+        exit 1
+    fi
     printf '{"side": "%s", "pair": %d, "seed": %d, "result": %s}\n' \
         "$side" "$2" "$3" "$out" >>"$results"
-    echo "   $side: $(python3 -c 'import json,sys; r=json.loads(sys.argv[1]); print("correct" if r["correct"] else "INCORRECT")' "$out")" >&2
+    echo "   $side: done" >&2
 }
 for ((i = 0; i < pairs; i++)); do
     seed=$((seed0 + i))
@@ -104,7 +111,6 @@ by = {"base": {}, "head": {}}
 for r in runs:
     by[r["side"]][r["pair"]] = r["result"]
 pairs = sorted(set(by["base"]) & set(by["head"]))
-incorrect = [(s, p) for s in by for p, r in by[s].items() if not r["correct"]]
 
 def quartiles(xs):
     if len(xs) == 1:
@@ -130,7 +136,4 @@ for name in names:
     wins = f"{wins}/{len(pairs)}" if sense else "-"
     fmt = lambda q: f"{q[1]:.6g} [{q[0]:.6g}, {q[2]:.6g}]"
     print(f"{name:<22} {fmt(bq):>38} {fmt(hq):>38} {ratio:>10.4f} {beyond:>5} {wins:>10}")
-if incorrect:
-    print(f"INCORRECT runs: {incorrect}")
-    sys.exit(1)
 EOF
