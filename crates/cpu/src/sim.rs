@@ -38,9 +38,6 @@ pub mod stageprof {
         "port_tick",
     ];
     pub static NS: [AtomicU64; 7] = [const { AtomicU64::new(0) }; 7];
-    /// Number of timed cycles.
-    pub static SAMPLES: AtomicU64 = AtomicU64::new(0);
-
     /// Sampling period: the cycles whose number is a multiple of this
     /// are timed; the dump multiplies by it to estimate full totals.
     pub const SAMPLE: u64 = 64;
@@ -54,36 +51,12 @@ pub mod stageprof {
         NS[stage].fetch_add(ns, Relaxed);
     }
 
-    /// Cost of one stage lap with no work in it (a clock read plus an
-    /// atomic add), measured on the spot: the fastest of several
-    /// batches, so a preempted batch does not inflate it.
-    fn lap_ns() -> f64 {
-        const N: u32 = 5_000;
-        let sink = AtomicU64::new(0);
-        (0..20)
-            .map(|_| {
-                let start = std::time::Instant::now();
-                let mut t = start;
-                for _ in 0..N {
-                    let now = std::time::Instant::now();
-                    sink.fetch_add((now - t).as_nanos() as u64, Relaxed);
-                    t = now;
-                }
-                start.elapsed().as_nanos() as f64 / f64::from(N)
-            })
-            .fold(f64::INFINITY, f64::min)
-    }
-
-    /// Prints each stage's estimated total: its sampled time less one
-    /// lap of probe overhead per timed cycle, scaled by [`SAMPLE`].
+    /// Prints each stage's sampled time scaled by [`SAMPLE`].
     pub fn dump() {
         if enabled() {
-            let samples = SAMPLES.load(Relaxed) as f64;
-            let lap = lap_ns();
-            eprintln!("stageprof timed {samples} cycles, {lap:.1}ns probe cost per stage removed");
             for (name, v) in NAMES.iter().zip(&NS) {
-                let ns = (v.load(Relaxed) as f64 - samples * lap).max(0.0) * SAMPLE as f64;
-                eprintln!("stageprof {name} {:.3}s", ns / 1e9);
+                let ns = v.load(Relaxed) * SAMPLE;
+                eprintln!("stageprof {name} {:.3}s", ns as f64 / 1e9);
             }
         }
     }
@@ -1018,7 +991,6 @@ impl Simulator {
     fn cycle_profiled(&mut self) -> Result<bool, SimError> {
         self.pipe.window_occupancy.record(self.window.len());
         self.pipe.lsq_occupancy.record(self.lsq.len());
-        stageprof::SAMPLES.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let mut t = std::time::Instant::now();
         let mut lap = |stage: usize| {
             let now = std::time::Instant::now();

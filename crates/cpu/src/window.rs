@@ -354,6 +354,8 @@ impl Window {
                     let p = self.slot(prod_seq);
                     if self.state[p] != State::Done {
                         let addr = is_store && Some(u) == base;
+                        // Node 2s+2 would be the next slot's first node.
+                        assert!(remaining < 2, "more than two register uses");
                         self.link(p, (s << 1) as u32 | remaining as u32, addr);
                         remaining += 1;
                         if addr {
@@ -1460,5 +1462,24 @@ mod tests {
         e[2].deps.push(3);
         e[3].remaining = 3;
         corrupt(encode(0, &e, &producer, &completions), "three producers");
+        // Declared producer count differs from the edges listed.
+        let mut e = entries();
+        e[3].remaining = 1;
+        corrupt(
+            encode(0, &e, &producer, &completions),
+            "remaining disagrees with edges",
+        );
+        // A producer-map seq past the window end.
+        let mut p = producer.to_vec();
+        p.push((4, 9));
+        corrupt(
+            encode(0, &entries(), &p, &completions),
+            "producer past the window",
+        );
+        // A completion event for an entry that is not issued.
+        corrupt(
+            encode(0, &entries(), &producer, &[(5, 1)]),
+            "completion for a ready entry",
+        );
     }
 }

@@ -3,17 +3,18 @@
 #
 # Usage: scripts/perf_ab.sh <base-rev> <head-rev> [pairs] [workload]
 #
-# Checks out each revision into its own git worktree, builds it into its
-# own CARGO_TARGET_DIR, then runs `perfbench/run.py` (each revision its
-# own copy) for `pairs` rounds (default 10) of `workload` (default
-# table3), alternating which side runs first. Prints each side's median
-# and quartiles for every end-to-end metric, the head/base ratio of the
-# medians, whether the median difference exceeds the base's
-# interquartile range, and in how many pairs the head was better.
+# Checks out each revision into its own git worktree, then runs
+# `perfbench/run.py` (each revision its own copy, which builds into its
+# own CARGO_TARGET_DIR before timing) for `pairs` rounds (default 10) of
+# `workload` (default table3), alternating which side runs first. Each
+# run lasts the `run_seconds` of the head revision's BENCHMARK.json.
+# Prints each side's median and quartiles for every end-to-end metric,
+# the head/base ratio of the medians, whether the median difference
+# exceeds the base's interquartile range, and in how many pairs the head
+# was better.
 # Stops at the first run that fails or reports incorrect results.
 #
 # Environment:
-#   PERF_AB_SECONDS  seconds per run (default 40)
 #   PERF_AB_SEED     seed of the first pair (default 1); pair i uses seed+i
 #   PERF_AB_DIR      work directory, kept afterwards (default: a temp
 #                    directory, removed at exit)
@@ -31,7 +32,6 @@ base=$(git -C "$repo" rev-parse --verify "$1^{commit}")
 head=$(git -C "$repo" rev-parse --verify "$2^{commit}")
 pairs=${3:-10}
 workload=${4:-table3}
-seconds=${PERF_AB_SECONDS:-40}
 seed0=${PERF_AB_SEED:-1}
 if ! [[ $pairs =~ ^[1-9][0-9]*$ ]]; then
     echo "$0: pairs must be a positive integer, got '$pairs'" >&2
@@ -68,10 +68,9 @@ for side in base head; do
         git -C "$repo" worktree remove --force "$work/$side"
     fi
     git -C "$repo" worktree add --detach --quiet "$work/$side" "$rev"
-    echo "== building $side ($rev)" >&2
-    CARGO_TARGET_DIR="$work/target-$side" cargo build --release --offline --quiet \
-        --manifest-path "$work/$side/perfbench/harness/Cargo.toml"
 done
+seconds=$(python3 -c 'import json, sys; print(json.load(open(sys.argv[1]))["run_seconds"])' \
+    "$work/head/BENCHMARK.json")
 
 results=$work/results.jsonl
 : >"$results"
