@@ -3,7 +3,7 @@
 use hbdc_snap::{SnapError, StateReader, StateWriter};
 
 use crate::model::PortModel;
-use crate::request::{MemRequest, Offered, SpanGrant};
+use crate::request::{MemRequest, Offered};
 use crate::stats::ArbStats;
 
 /// Ideal multi-ported cache: every port has its own path to every entry,
@@ -69,40 +69,8 @@ impl PortModel for IdealPorts {
         }
     }
 
-    // Each span round grants the next `ports`-sized prefix of whatever
-    // is left, so the whole schedule is a single pass over the view.
-    fn drain_span(&mut self, offered: Offered<'_>, n: u64, out: &mut Vec<SpanGrant>) -> u64 {
-        let mut cursor = 0usize;
-        let mut k = 0u64;
-        while k < n && cursor < offered.len() {
-            let remaining = offered.len() - cursor;
-            let g = remaining.min(self.ports);
-            self.stats.record_round(remaining, g);
-            for j in 0..g {
-                out.push(SpanGrant {
-                    offset: k,
-                    req: offered.get(cursor + j),
-                });
-            }
-            cursor += g;
-            k += 1;
-        }
-        self.stats.record_ticks(k);
-        k
-    }
-
     fn tick(&mut self) {
         self.stats.record_tick();
-    }
-
-    // Stateless between rounds: an idle cycle only advances the cycle
-    // counter, so skipped spans can be accounted in bulk.
-    fn next_event(&self, _now: u64) -> Option<u64> {
-        None
-    }
-
-    fn skip_idle(&mut self, k: u64) {
-        self.stats.record_ticks(k);
     }
 
     fn peak_per_cycle(&self) -> usize {

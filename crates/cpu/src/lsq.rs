@@ -262,16 +262,6 @@ impl Lsq {
         self.stalls
     }
 
-    /// Accounts for `k` idle cycles whose ready-list scans each produce
-    /// the stall increments in `per_cycle`. During a skipped span the
-    /// queue is frozen, so every scan would classify entries identically;
-    /// this replays those `k` identical scans' counter effects in O(1).
-    pub fn add_stalls_n(&mut self, per_cycle: LsqStalls, k: u64) {
-        self.stalls.addr_unknown += per_cycle.addr_unknown * k;
-        self.stalls.prior_store_addr += per_cycle.prior_store_addr * k;
-        self.stalls.store_overlap += per_cycle.store_overlap * k;
-    }
-
     fn find(&self, seq: u64) -> usize {
         let ordinal = self
             .pos_map
@@ -706,16 +696,6 @@ impl Lsq {
         self.pending_forwards.sort_unstable();
         out.forwards.clone_from(&self.pending_forwards);
         self.pending_forwards.clear();
-    }
-
-    /// Whether any load is parked in a state that *retiring a store* can
-    /// change: a dep-waiter wakes (and may join the ready list or
-    /// forward) when its deciding store leaves, and a pending forward
-    /// emits a forward event on the next collection. Either would break
-    /// a backlog span's input quiescence — the in-span commits retire
-    /// stores — so the span engine declines while they exist.
-    pub(crate) fn span_wake_hazards(&self) -> bool {
-        !self.dep_waiters.is_empty() || !self.pending_forwards.is_empty()
     }
 
     /// The first half of [`collect_ready_into`](Self::collect_ready_into):

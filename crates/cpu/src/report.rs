@@ -27,7 +27,6 @@
 ///     skipped_cycles: 0,
 ///     wall_secs: 0.0,
 ///     cycles_per_sec: 0.0,
-///     events_per_sec: 0.0,
 /// };
 /// assert_eq!(r.ipc(), 3.0);
 /// assert!((r.mem_fraction() - 1.0 / 3.0).abs() < 1e-12);
@@ -72,27 +71,20 @@ pub struct SimReport {
     pub store_serializations: u64,
     /// Label of the port model under test, e.g. `"Bank-8"`.
     pub port_label: String,
-    /// Cycles the run loop fast-forwarded over instead of executing
-    /// (see [`cycle_skip`](crate::CpuConfig::cycle_skip)). A property of
-    /// how the simulator ran, not of the simulated machine: a ticked run
-    /// reports 0 here and identical everything else.
+    /// Always 0: the run loop executes every cycle, with no skipped
+    /// spans. Kept so existing callers still build.
     pub skipped_cycles: u64,
     /// Wall-clock seconds spent inside [`run`](crate::Simulator::run) —
     /// a measurement of the *simulator*, not the simulated machine.
     pub wall_secs: f64,
     /// Simulated cycles per wall-clock second (simulator throughput).
     pub cycles_per_sec: f64,
-    /// Executed (non-skipped) cycles per wall-clock second — the rate at
-    /// which the simulator retires actual work, independent of how much
-    /// idle time the event calendar let it skip.
-    pub events_per_sec: f64,
 }
 
 /// Equality covers only the simulated-machine measurements:
-/// `skipped_cycles`, `wall_secs`, `cycles_per_sec`, and
-/// `events_per_sec` describe how the host ran the simulation and are
-/// excluded, so bit-identical simulations compare equal regardless of
-/// host timing or whether idle spans were skipped or ticked through.
+/// `skipped_cycles`, `wall_secs` and `cycles_per_sec` describe how the
+/// host ran the simulation and are excluded, so bit-identical
+/// simulations compare equal regardless of host timing.
 impl PartialEq for SimReport {
     fn eq(&self, other: &Self) -> bool {
         let SimReport {
@@ -116,7 +108,6 @@ impl PartialEq for SimReport {
             skipped_cycles: _,
             wall_secs: _,
             cycles_per_sec: _,
-            events_per_sec: _,
         } = self;
         *committed == other.committed
             && *cycles == other.cycles
@@ -185,9 +176,9 @@ impl SimReport {
     /// record line (no trailing newline) for the matrix run journal.
     ///
     /// The host-run fields (`skipped_cycles`, `wall_secs`,
-    /// `cycles_per_sec`, `events_per_sec`) describe a run that already
-    /// happened and are deliberately not persisted; they parse back as
-    /// zero, which [`PartialEq`] already ignores.
+    /// `cycles_per_sec`) describe a run that already happened and are
+    /// deliberately not persisted; they parse back as zero, which
+    /// [`PartialEq`] already ignores.
     pub fn to_record(&self) -> String {
         format!(
             "{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
@@ -258,7 +249,6 @@ impl SimReport {
             skipped_cycles: 0,
             wall_secs: 0.0,
             cycles_per_sec: 0.0,
-            events_per_sec: 0.0,
         })
     }
 }
@@ -289,7 +279,6 @@ mod tests {
             skipped_cycles: 0,
             wall_secs: 0.0,
             cycles_per_sec: 0.0,
-            events_per_sec: 0.0,
         }
     }
 
@@ -325,7 +314,6 @@ mod tests {
             skipped_cycles: 0,
             wall_secs: 0.0,
             cycles_per_sec: 0.0,
-            events_per_sec: 0.0,
         };
         assert_eq!(r.ipc(), 0.0);
         assert_eq!(r.mem_fraction(), 0.0);
@@ -382,7 +370,6 @@ mod tests {
             skipped_cycles: 7,
             wall_secs: 123.0,
             cycles_per_sec: 456.0,
-            events_per_sec: 78.0,
             ..sample()
         };
         assert_eq!(a, b);

@@ -35,11 +35,12 @@ use hbdc_mem::HierarchyConfig;
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"HBSN";
 
 /// Snapshot format version; bump on any payload layout change.
-/// Version history: 1 — initial format; 2 — added `cycle_skip` to the
-/// embedded [`CpuConfig`] and the cumulative skipped-cycle count;
+/// Version history: 1 — initial format; 2 — added the idle-skip flag to
+/// the embedded [`CpuConfig`] and the cumulative skipped-cycle count;
 /// 3 — tagged instruction source (execute-mode emulator state, or an
-/// embedded committed-stream trace plus replay cursor).
-pub const SNAPSHOT_VERSION: u32 = 3;
+/// embedded committed-stream trace plus replay cursor); 4 — dropped the
+/// idle-skip flag and the skipped-cycle count again.
+pub const SNAPSHOT_VERSION: u32 = 4;
 
 /// A sealed, self-contained simulator checkpoint.
 ///
@@ -148,7 +149,6 @@ impl Simulator {
         w.put_u64(self.committed);
         w.put_u64(self.loads);
         w.put_u64(self.stores);
-        w.put_u64(self.skipped_cycles);
         w.put_bool(self.fetch_done);
         w.put_bool(self.halted);
         w.put_u64(self.last_commit_cycle);
@@ -265,7 +265,6 @@ impl Simulator {
         sim.committed = r.get_u64()?;
         sim.loads = r.get_u64()?;
         sim.stores = r.get_u64()?;
-        sim.skipped_cycles = r.get_u64()?;
         sim.fetch_done = r.get_bool()?;
         sim.halted = r.get_bool()?;
         sim.last_commit_cycle = r.get_u64()?;
@@ -408,61 +407,37 @@ mod tests {
     }
 
     /// Serially dependent cold-missing loads: each iteration's address
-    /// needs the previous load's data, so between the grant and the DRAM
-    /// fill the machine is completely quiescent — guaranteed idle spans
-    /// for every port model.
+    /// needs the previous load's data, so the machine sits idle for the
+    /// whole of each DRAM fill.
     const DEPENDENT_MISSES: &str = ".data\nv: .space 8192\n.text\nmain:\n la r8, v\n li r9, 40\n\
         loop:\n lw r1, 0(r8)\n add r8, r8, r1\n addi r8, r8, 64\n\
         addi r9, r9, -1\n bnez r9, loop\n halt\n";
 
     #[test]
-    fn checkpoint_inside_idle_span_resumes_bit_identically() {
+    fn checkpoint_during_a_miss_stall_resumes_bit_identically() {
         let p = assemble(DEPENDENT_MISSES).unwrap();
-        // `audit: false` explicitly: the auditor forces skipping off
-        // (including when the `audit` feature flips the default on), and
-        // this test is about splitting a *skipped* span.
-        let cfg = CpuConfig {
-            audit: false,
-            ..CpuConfig::default()
-        };
+        let cfg = CpuConfig::default();
         for port in every_port() {
-            let mut full = Simulator::new(&p, cfg, HierarchyConfig::default(), port);
-            let baseline = full.run().unwrap();
-            let total = full.skipped_cycles();
-            assert!(total > 0, "{port:?}: workload produced no skippable spans");
-            // Smallest budget at which a fresh run skips anything: its
-            // pause point sits just past a budget-capped first skip, so
-            // cycle `n - skipped` is the first cycle the uninterrupted
-            // run jumps over.
-            let mut n = 1;
-            let first_skip = loop {
-                let mut sim = Simulator::new(&p, cfg, HierarchyConfig::default(), port);
-                let done = sim.run_for(n).unwrap();
-                let s = sim.skipped_cycles();
-                if s > 0 {
-                    break s;
-                }
-                assert!(!done, "{port:?}: run finished without ever skipping");
-                n += 1;
-            };
-            let k = n - first_skip;
+            let baseline = straight_through(&p, cfg, port);
+            // Step until nothing has committed for 8 cycles after the
+            // first commit: the pause point then sits inside a fill.
             let mut head = Simulator::new(&p, cfg, HierarchyConfig::default(), port);
-            assert!(!head.run_for(k).unwrap());
+            let mut quiet = 0;
+            while quiet < 8 || head.committed() == 0 {
+                let before = head.committed();
+                assert!(!head.run_for(1).unwrap(), "{port:?}: no miss stall");
+                quiet = if head.committed() == before {
+                    quiet + 1
+                } else {
+                    0
+                };
+            }
+            let k = head.current_cycle();
+            let snap = SimSnapshot::from_bytes(head.save_snapshot().as_bytes().to_vec()).unwrap();
+            let resumed = Simulator::resume(&snap).unwrap().run().unwrap();
             assert_eq!(
-                head.skipped_cycles(),
-                0,
-                "{port:?}: {k} is inside the first span"
-            );
-            let snap = head.save_snapshot();
-            let mut tail = Simulator::resume(&snap).unwrap();
-            let resumed = tail.run().unwrap();
-            assert_eq!(baseline, resumed, "{port:?} resumed mid-idle-span diverged");
-            // Splitting strictly inside a span re-executes exactly one
-            // probe cycle there; every other skipped cycle is recovered.
-            assert_eq!(
-                tail.skipped_cycles(),
-                total - 1,
-                "{port:?}: checkpoint at {k} was not strictly inside an idle span"
+                baseline, resumed,
+                "{port:?}: resumed mid-stall at {k} diverged"
             );
         }
     }
@@ -540,6 +515,24 @@ mod tests {
         let mut wrong_magic = good;
         wrong_magic[0] ^= 0xff;
         assert!(SimSnapshot::from_bytes(wrong_magic).is_err());
+    }
+
+    #[test]
+    fn snapshots_of_the_previous_format_are_refused() {
+        let mut sim = Simulator::new(
+            &program(),
+            CpuConfig::default(),
+            HierarchyConfig::default(),
+            PortConfig::Ideal { ports: 2 },
+        );
+        sim.run_for(20).unwrap();
+        let good = sim.save_snapshot();
+        let payload = open(good.as_bytes(), SNAPSHOT_MAGIC, SNAPSHOT_VERSION).unwrap();
+        let old = seal(SNAPSHOT_MAGIC, SNAPSHOT_VERSION - 1, payload);
+        assert!(matches!(
+            SimSnapshot::from_bytes(old),
+            Err(SnapError::BadVersion { found: 3, want: 4 })
+        ));
     }
 
     #[test]

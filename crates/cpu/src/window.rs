@@ -243,24 +243,6 @@ impl Window {
         self.len == 0
     }
 
-    /// The window's Done prefix as a backlog-span commit budget: how
-    /// many entries a span's in-order commits can consume (everything
-    /// older than the completion frontier — the frontier entry itself is
-    /// not Done and pins the prefix for the whole span) and whether any
-    /// of them is a `halt`. Returns `None` when the window is empty or
-    /// *entirely* Done: with no frontier barrier, in-span commits could
-    /// run the window dry — retiring `halt`, emptying the machine —
-    /// while the port model keeps ticking, so the span engine declines.
-    pub(crate) fn span_commit_prefix(&self) -> Option<(usize, bool)> {
-        let frontier = self.oldest_not_done();
-        if frontier >= self.base_seq + self.len as u64 {
-            return None;
-        }
-        let len = (frontier - self.base_seq) as usize;
-        let halt = (self.base_seq..frontier).any(|seq| self.meta[self.slot(seq)].halt);
-        Some((len, halt))
-    }
-
     /// Whether the window has room for another instruction.
     pub fn has_space(&self) -> bool {
         self.len < self.capacity
@@ -501,8 +483,7 @@ impl Window {
     }
 
     /// Marks Done every issued entry whose completion time has arrived,
-    /// waking its dependents. Returns the number of entries completed
-    /// (the simulator's idle detector treats any completion as activity).
+    /// waking its dependents. Returns the number of entries completed.
     pub fn advance_completions(&mut self, now: u64) -> usize {
         let mut completed = 0usize;
         self.completions.drain_due(now);
@@ -538,13 +519,6 @@ impl Window {
             }
         }
         completed
-    }
-
-    /// The cycle of the earliest pending completion event, if any.
-    /// After [`advance_completions`](Self::advance_completions)`(now)`
-    /// this is always strictly greater than `now`.
-    pub fn next_completion_at(&self) -> Option<u64> {
-        self.completions.earliest()
     }
 
     /// Whether `seq` has produced its result.
@@ -894,7 +868,7 @@ impl CompletionWheel {
         if self.next_lb > now {
             // Nothing due. The cursor may still advance to `now + 1`:
             // every pending event is at `>= next_lb > now`, so no bucket
-            // slot in the skipped span is occupied.
+            // slot the cursor moves past is occupied.
             self.cursor = self.cursor.max(now + 1);
             return;
         }
@@ -917,29 +891,6 @@ impl CompletionWheel {
         self.len -= self.due_buf.len();
         self.cursor = now + 1;
         self.next_lb = if self.len == 0 { u64::MAX } else { self.cursor };
-    }
-
-    /// The cycle of the earliest pending event — an O(1) answer when
-    /// empty, otherwise a bounded slot scan (quiescent-cycle path: the
-    /// idle-span skipper asks once, then jumps the whole span).
-    fn earliest(&self) -> Option<u64> {
-        if self.len == 0 {
-            return None;
-        }
-        let far_at = self.far.peek().map(|(at, _)| at);
-        let mut t = self.next_lb.max(self.cursor);
-        let horizon = self.cursor + WHEEL as u64;
-        while t < horizon {
-            if far_at.is_some_and(|f| f <= t) {
-                return far_at;
-            }
-            if !self.buckets[t as usize & (WHEEL - 1)].is_empty() {
-                return Some(t);
-            }
-            t += 1;
-        }
-        debug_assert!(far_at.is_some(), "len > 0 but no event found");
-        far_at
     }
 
     /// Every pending event sorted by `(at, seq)` — the canonical order
@@ -1216,21 +1167,6 @@ mod tests {
         w.advance_completions(101);
         assert!(w.is_done(0));
         assert_eq!(w.ready_seqs(), vec![1]);
-    }
-
-    #[test]
-    fn next_completion_peeks_earliest_event() {
-        let mut w = Window::new(8);
-        w.dispatch(alu(0, 1, 0, 0));
-        w.dispatch(alu(1, 2, 0, 0));
-        assert_eq!(w.next_completion_at(), None);
-        w.mark_issued(0, Some(7));
-        w.mark_issued(1, Some(3));
-        assert_eq!(w.next_completion_at(), Some(3));
-        assert_eq!(w.advance_completions(3), 1);
-        assert_eq!(w.next_completion_at(), Some(7));
-        assert_eq!(w.advance_completions(7), 1);
-        assert_eq!(w.next_completion_at(), None);
     }
 
     #[test]

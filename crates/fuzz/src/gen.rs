@@ -22,9 +22,8 @@
 //!   long-latency divides with a pile of independent same-bank stores
 //!   in between, so the stores promote to the ready list together and
 //!   then drain one grant per cycle while the divide chain pins the
-//!   commit frontier — the quiescent steady state the span fast-forward
-//!   (DESIGN.md §15) bulk-drains, and the `span-vs-per-cycle` oracle
-//!   relation leans on.
+//!   commit frontier — a long bank-serialized backlog with stores
+//!   committing as their accesses land.
 //!
 //! **Termination by construction.** The only backward edge is the outer
 //! loop's counted branch; its counter register is reserved (written only
@@ -486,15 +485,14 @@ impl Gen {
         }
     }
 
-    /// A standing all-store backlog, the span fast-forward's exact
-    /// domain: a load whose result feeds a chain of long-latency
-    /// divides, with a burst of independent stores — one line apart,
-    /// all in one bank of the tuned interleave — between the two. The
-    /// stores join the LSQ ready list together the moment the commit
-    /// frontier passes the load, then drain one grant per cycle through
-    /// the shared bank while the divide chain keeps the frontier (and,
-    /// behind a data-dependent forward branch half the time, fetch)
-    /// pinned for tens of cycles.
+    /// A standing all-store backlog: a load whose result feeds a chain
+    /// of long-latency divides, with a burst of independent stores —
+    /// one line apart, all in one bank of the tuned interleave — between
+    /// the two. The stores join the LSQ ready list together the moment
+    /// the commit frontier passes the load, then drain one grant per
+    /// cycle through the shared bank while the divide chain keeps the
+    /// frontier (and, behind a data-dependent forward branch half the
+    /// time, fetch) pinned for tens of cycles.
     fn store_backlog(&mut self) {
         let b = self.base();
         let o = self.off().min(self.data_bytes as i64 / 8);

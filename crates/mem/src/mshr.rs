@@ -108,38 +108,9 @@ impl MshrFile {
         }
     }
 
-    /// Completion cycle of the earliest outstanding fill still strictly
-    /// in the future at `now`. Entries at or before `now` are already
-    /// complete (they linger until the next access retires them) and are
-    /// not future events.
-    pub fn next_ready_after(&self, now: u64) -> Option<u64> {
-        match self.by_ready.peek() {
-            // Fast path: the earliest fill is still in the future.
-            Some(&Reverse((ready, _))) if ready > now => Some(ready),
-            None => None,
-            // A completed-but-unretired fill sits on top (a store's fill,
-            // say, that nothing probed since it landed): fall back to a
-            // scan for the earliest future one. Bounded by the file
-            // capacity and only reachable between retirements.
-            Some(_) => self
-                .by_ready
-                .iter()
-                .map(|&Reverse((r, _))| r)
-                .filter(|&r| r > now)
-                .min(),
-        }
-    }
-
     /// Number of misses currently outstanding.
     pub fn outstanding(&self) -> usize {
         self.entries.len()
-    }
-
-    /// Number of misses whose fills are still in flight strictly after
-    /// `now` — [`outstanding`](Self::outstanding) as it would read once
-    /// everything due by `now` is retired, without mutating anything.
-    pub fn outstanding_after(&self, now: u64) -> usize {
-        self.entries.values().filter(|&&r| r > now).count()
     }
 
     /// Whether a new (non-merging) miss can be accepted.
@@ -236,18 +207,6 @@ mod tests {
     }
 
     #[test]
-    fn next_ready_skips_already_completed_fills() {
-        let mut m = MshrFile::new(4);
-        m.register(0x00, 5);
-        m.register(0x40, 10);
-        // Entry at cycle 5 is complete by now=7 but not yet retired: it
-        // must not masquerade as a future event.
-        assert_eq!(m.next_ready_after(7), Some(10));
-        assert_eq!(m.next_ready_after(4), Some(5));
-        assert_eq!(m.next_ready_after(10), None);
-    }
-
-    #[test]
     #[should_panic(expected = "at least one entry")]
     fn zero_capacity_panics() {
         MshrFile::new(0);
@@ -283,15 +242,15 @@ mod tests {
 
         let mut restored = MshrFile::new(4);
         restored.load_state(&mut StateReader::new(&bytes)).unwrap();
-        // The rebuilt heap must drive events and retirement exactly as
-        // the original's does.
-        assert_eq!(restored.next_ready_after(0), Some(5));
+        // The rebuilt heap must drive retirement exactly as the
+        // original's does.
+        restored.retire_completed(4);
+        assert_eq!(restored.outstanding(), 3);
         restored.retire_completed(5);
         assert_eq!(restored.outstanding(), 2);
-        assert_eq!(restored.next_ready_after(5), Some(10));
+        assert_eq!(restored.ready_at(0x00), None);
         restored.retire_completed(10);
         assert_eq!(restored.outstanding(), 0);
-        assert_eq!(restored.next_ready_after(10), None);
         // Freed entries really are reusable capacity.
         for i in 0..4u64 {
             assert_eq!(

@@ -18,6 +18,9 @@ cargo test --workspace -q
 echo "== cargo test --features audit (invariant auditor on)"
 cargo test -p hbdc-cpu -p hbdc-bench --features audit -q
 
+echo "== paper claims (Table 3/4 orderings, Figure 4c)"
+cargo test --release --test paper_shapes -q -- --ignored
+
 echo "== kill-and-resume integration test"
 scripts/resume_test.sh
 

@@ -8,6 +8,8 @@
 //! cargo test --release --test paper_shapes -- --ignored
 //! ```
 //!
+//! `scripts/check.sh` runs them this way as a required step.
+//!
 //! Each test encodes one claim from the paper's evaluation; the
 //! quantitative record lives in `EXPERIMENTS.md`.
 
