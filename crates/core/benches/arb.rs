@@ -1,12 +1,12 @@
-//! Microbenchmarks for the memory-stage hot loops: port arbitration —
-//! the naive age-ordered slice walk (`arbitrate_into`) against the
-//! batched mirror path (`arbitrate_offered`) — and `Hierarchy::access`.
+//! Microbenchmarks for the memory-stage hot loops: one arbitration round
+//! (`arbitrate_offered`, the in-place walk over the offered view) per
+//! port model, and `Hierarchy::access`.
 //!
 //! The offered sets come in two flavours so both regimes of the
 //! arbiters are visible: *conflict-free* (one reference per bank, every
 //! round grants everything) and *conflict-heavy* (the whole backlog on
-//! one bank, so the naive walk re-scans all of it every round while the
-//! batched path only touches bucket fronts).
+//! one bank, so the banked walk runs to the end of the backlog and the
+//! LBIC walk sorts it into one locked line and conflicts).
 //!
 //! Run via `scripts/microbench.sh` or
 //! `cargo bench -p hbdc-core --bench arb`.
@@ -14,7 +14,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use hbdc_core::{MemRequest, Offered, PortConfig};
+use hbdc_core::{MemRequest, OfferedBuf, PortConfig};
 use hbdc_mem::{Hierarchy, HierarchyConfig};
 
 /// Line size the models are built with (also the bank-mapping stride).
@@ -46,47 +46,26 @@ fn conflict_heavy() -> Vec<MemRequest> {
         .collect()
 }
 
-/// Splits requests into the parallel SoA arrays an [`Offered`] view
-/// borrows — the same layout the simulator's LSQ ready list keeps.
-fn soa(reqs: &[MemRequest]) -> (Vec<u64>, Vec<u64>, Vec<bool>) {
-    let ids = reqs.iter().map(|r| r.id).collect();
-    let addrs = reqs.iter().map(|r| r.addr).collect();
-    let stores = reqs.iter().map(|r| r.is_store).collect();
-    (ids, addrs, stores)
-}
-
 fn bench_arbitrate(c: &mut Criterion) {
     for (shape, reqs) in [
         ("conflict-free", conflict_free()),
         ("conflict-heavy", conflict_heavy()),
     ] {
         let mut group = c.benchmark_group(format!("arbitrate/{shape}"));
-        let (ids, addrs, stores) = soa(&reqs);
-        for config in [PortConfig::banked(8), PortConfig::lbic(8, 4)] {
-            // Naive reference path: re-walks the whole age-ordered
-            // slice every round.
-            let mut model = config.clone().build(LINE);
-            let label = model.label();
-            let mut granted_ix = Vec::new();
-            group.bench_function(format!("{label}/naive"), |b| {
-                b.iter(|| {
-                    model.arbitrate_into(black_box(&reqs), &mut granted_ix);
-                    model.tick();
-                    black_box(granted_ix.len())
-                })
-            });
-
-            // Batched path: the model's bucket mirror is seeded once and
-            // each round reads only bucket fronts / line groups.
-            let mut model = config.clone().build(LINE);
-            model.offer_reset(Offered::new(&ids, &addrs, &stores));
+        // The same structure-of-arrays layout the simulator's LSQ ready
+        // list keeps.
+        let offered = OfferedBuf::new(&reqs);
+        for config in [
+            PortConfig::Ideal { ports: 8 },
+            PortConfig::Replicated { ports: 8 },
+            PortConfig::banked(8),
+            PortConfig::lbic(8, 4),
+        ] {
+            let mut model = config.build(LINE);
             let mut granted = Vec::new();
-            group.bench_function(format!("{label}/batched"), |b| {
+            group.bench_function(model.label(), |b| {
                 b.iter(|| {
-                    model.arbitrate_offered(
-                        black_box(Offered::new(&ids, &addrs, &stores)),
-                        &mut granted,
-                    );
+                    model.arbitrate_offered(black_box(offered.view()), &mut granted);
                     model.tick();
                     black_box(granted.len())
                 })

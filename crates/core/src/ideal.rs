@@ -26,7 +26,7 @@ use crate::stats::ArbStats;
 ///     MemRequest::store(1, 0x00), // same address: still fine
 ///     MemRequest::load(2, 0x40),
 /// ];
-/// assert_eq!(m.arbitrate(&ready), vec![0, 1]); // oldest two
+/// assert_eq!(m.arbitrate(&ready), ready[..2]); // oldest two
 /// ```
 #[derive(Debug)]
 pub struct IdealPorts {
@@ -50,16 +50,9 @@ impl IdealPorts {
 }
 
 impl PortModel for IdealPorts {
-    fn arbitrate_into(&mut self, ready: &[MemRequest], granted: &mut Vec<usize>) {
-        granted.clear();
-        let n = ready.len().min(self.ports);
-        self.stats.record_round(ready.len(), n);
-        granted.extend(0..n);
-    }
-
     // The grant set is a pure prefix of the age-ordered offered set, so
-    // the batched round reads the first `ports` view entries directly —
-    // O(ports) regardless of how long the offered backlog grows.
+    // the round reads the first `ports` view entries — O(ports)
+    // regardless of how long the offered backlog grows.
     fn arbitrate_offered(&mut self, offered: Offered<'_>, granted: &mut Vec<MemRequest>) {
         granted.clear();
         let n = offered.len().min(self.ports);
@@ -107,9 +100,9 @@ mod tests {
     #[test]
     fn grants_oldest_up_to_port_count() {
         let mut m = IdealPorts::new(3);
-        assert_eq!(m.arbitrate(&reqs(5)), vec![0, 1, 2]);
-        assert_eq!(m.arbitrate(&reqs(2)), vec![0, 1]);
-        assert_eq!(m.arbitrate(&[]), Vec::<usize>::new());
+        assert_eq!(m.arbitrate(&reqs(5)), reqs(3));
+        assert_eq!(m.arbitrate(&reqs(2)), reqs(2));
+        assert!(m.arbitrate(&[]).is_empty());
     }
 
     #[test]

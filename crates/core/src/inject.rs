@@ -19,7 +19,7 @@ use hbdc_snap::{SnapError, StateReader, StateWriter};
 
 use crate::audit::Violation;
 use crate::model::{PortConfig, PortModel};
-use crate::request::MemRequest;
+use crate::request::{MemRequest, Offered};
 use crate::stats::ArbStats;
 
 /// The violation class a [`FaultInjector`] produces.
@@ -49,7 +49,7 @@ pub enum FaultClass {
 /// # Examples
 ///
 /// ```
-/// use hbdc_core::{FaultClass, FaultInjector, MemRequest, PortConfig, PortModel};
+/// use hbdc_core::{FaultClass, FaultInjector, MemRequest, OfferedBuf, PortConfig, PortModel};
 ///
 /// let mut m = FaultInjector::new(
 ///     PortConfig::banked(2),
@@ -60,12 +60,13 @@ pub enum FaultClass {
 /// .unwrap();
 /// // Two same-bank references: the clean model grants one; once the
 /// // injector fires it grants both, and the audit reports the fault.
-/// let ready = vec![MemRequest::load(0, 0x00), MemRequest::load(1, 0x40)];
+/// let ready = OfferedBuf::new(&[MemRequest::load(0, 0x00), MemRequest::load(1, 0x40)]);
+/// let mut granted = Vec::new();
 /// let mut caught = false;
 /// for _ in 0..64 {
-///     let granted = m.arbitrate(&ready);
+///     m.arbitrate_offered(ready.view(), &mut granted);
 ///     let mut out = Vec::new();
-///     m.audit_round(&ready, &granted, &mut out);
+///     m.audit_round(ready.view(), &granted, &mut out);
 ///     assert_eq!(m.fired_last_round(), !out.is_empty());
 ///     caught |= !out.is_empty();
 ///     m.tick();
@@ -194,113 +195,88 @@ impl FaultInjector {
         addr >> self.line_shift
     }
 
-    /// Inserts `g` into the sorted grant list. For duplicates, inserts a
-    /// second copy (that *is* the fault).
-    fn push_grant(granted: &mut Vec<usize>, g: usize) {
-        let pos = match granted.binary_search(&g) {
-            Ok(pos) | Err(pos) => pos,
-        };
+    /// Inserts `g` into the age-ordered grant list. For duplicates,
+    /// inserts a second copy (that *is* the fault).
+    fn push_grant(granted: &mut Vec<MemRequest>, g: MemRequest) {
+        let pos = granted.partition_point(|x| x.id < g.id);
         granted.insert(pos, g);
     }
 
     /// Attempts to corrupt `granted`; returns whether a fault was placed.
-    fn try_inject(&mut self, ready: &[MemRequest], granted: &mut Vec<usize>) -> bool {
-        let denied =
-            |granted: &Vec<usize>| (0..ready.len()).find(|i| granted.binary_search(i).is_err());
-        match self.class {
+    fn try_inject(&mut self, offered: Offered<'_>, granted: &mut Vec<MemRequest>) -> bool {
+        let is_granted =
+            |granted: &[MemRequest], r: &MemRequest| granted.iter().any(|g| g.id == r.id);
+        let victim = match self.class {
             FaultClass::BankDoubleGrant => {
                 // A reference denied by a bank conflict: its bank already
                 // granted someone. Granting it anyway double-books the bank.
-                let victim = (0..ready.len()).find(|&i| {
-                    granted.binary_search(&i).is_err()
+                offered.iter().find(|r| {
+                    !is_granted(granted, r)
                         && granted
                             .iter()
-                            .any(|&g| self.bank_of(ready[g].addr) == self.bank_of(ready[i].addr))
-                });
-                victim.map(|v| Self::push_grant(granted, v)).is_some()
+                            .any(|g| self.bank_of(g.addr) == self.bank_of(r.addr))
+                })
             }
             FaultClass::CrossLineGrant => {
                 // A denied reference whose bank granted a *different* line.
-                let victim = (0..ready.len()).find(|&i| {
-                    granted.binary_search(&i).is_err()
-                        && granted.iter().any(|&g| {
-                            self.bank_of(ready[g].addr) == self.bank_of(ready[i].addr)
-                                && self.line_of(ready[g].addr) != self.line_of(ready[i].addr)
+                offered.iter().find(|r| {
+                    !is_granted(granted, r)
+                        && granted.iter().any(|g| {
+                            self.bank_of(g.addr) == self.bank_of(r.addr)
+                                && self.line_of(g.addr) != self.line_of(r.addr)
                         })
-                });
-                victim.map(|v| Self::push_grant(granted, v)).is_some()
+                })
             }
             FaultClass::CombiningOverflow => {
                 // A denied same-line reference to a bank whose line buffer
                 // is already fully subscribed this cycle.
-                let victim = (0..ready.len()).find(|&i| {
-                    if granted.binary_search(&i).is_ok() {
+                offered.iter().find(|r| {
+                    if is_granted(granted, r) {
                         return false;
                     }
-                    let (bank, line) = (self.bank_of(ready[i].addr), self.line_of(ready[i].addr));
+                    let (bank, line) = (self.bank_of(r.addr), self.line_of(r.addr));
                     let same_line = granted
                         .iter()
-                        .filter(|&&g| {
-                            self.bank_of(ready[g].addr) == bank
-                                && self.line_of(ready[g].addr) == line
-                        })
+                        .filter(|g| self.bank_of(g.addr) == bank && self.line_of(g.addr) == line)
                         .count();
                     same_line >= self.line_ports
-                });
-                victim.map(|v| Self::push_grant(granted, v)).is_some()
+                })
             }
             FaultClass::StoreBroadcastOverlap => {
-                let has_store = granted
-                    .iter()
-                    .any(|&g| ready.get(g).is_some_and(|r| r.is_store));
-                if has_store {
+                if granted.iter().any(|g| g.is_store) {
                     // Grant anything else beside the broadcast store.
-                    denied(granted)
-                        .map(|d| Self::push_grant(granted, d))
-                        .is_some()
+                    offered.iter().find(|r| !is_granted(granted, r))
+                } else if granted.is_empty() {
+                    None
                 } else {
                     // Or slip a denied store in beside granted loads.
-                    let store = (0..ready.len())
-                        .find(|&i| ready[i].is_store && granted.binary_search(&i).is_err());
-                    match (store, granted.is_empty()) {
-                        (Some(s), false) => {
-                            Self::push_grant(granted, s);
-                            true
-                        }
-                        _ => false,
-                    }
+                    offered
+                        .iter()
+                        .find(|r| r.is_store && !is_granted(granted, r))
                 }
             }
-            FaultClass::DuplicateGrant => match granted.first().copied() {
-                Some(g) => {
-                    Self::push_grant(granted, g);
-                    true
-                }
-                None => false,
-            },
+            FaultClass::DuplicateGrant => granted.first().copied(),
             FaultClass::PeakOverflow => {
                 if granted.len() >= self.inner.peak_per_cycle() {
-                    denied(granted)
-                        .map(|d| Self::push_grant(granted, d))
-                        .is_some()
+                    offered.iter().find(|r| !is_granted(granted, r))
                 } else {
-                    false
+                    None
                 }
             }
-        }
+        };
+        victim.map(|v| Self::push_grant(granted, v)).is_some()
     }
 }
 
 impl PortModel for FaultInjector {
-    fn arbitrate_into(&mut self, ready: &[MemRequest], granted: &mut Vec<usize>) {
-        self.inner.arbitrate_into(ready, granted);
+    fn arbitrate_offered(&mut self, offered: Offered<'_>, granted: &mut Vec<MemRequest>) {
+        self.inner.arbitrate_offered(offered, granted);
         // Fire on roughly half of the eligible cycles, seed-deterministic.
-        self.fired_last = self.next_rng() & 1 == 0 && self.try_inject(ready, granted);
+        self.fired_last = self.next_rng() & 1 == 0 && self.try_inject(offered, granted);
         if self.fired_last {
             self.injected += 1;
         }
     }
-
     fn tick(&mut self) {
         self.inner.tick();
     }
@@ -319,8 +295,8 @@ impl PortModel for FaultInjector {
 
     /// Audits against the *inner* model's true rules, so injected
     /// corruption is judged by the invariants it breaks.
-    fn audit_round(&self, ready: &[MemRequest], granted: &[usize], out: &mut Vec<Violation>) {
-        self.inner.audit_round(ready, granted, out);
+    fn audit_round(&self, offered: Offered<'_>, granted: &[MemRequest], out: &mut Vec<Violation>) {
+        self.inner.audit_round(offered, granted, out);
     }
 
     fn debug_state(&self) -> String {
@@ -353,10 +329,11 @@ impl PortModel for FaultInjector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::request::OfferedBuf;
 
     /// Drives `inj` over `ready` until it fires, returning that round's
     /// grants (panics after 256 clean rounds).
-    fn fire(inj: &mut FaultInjector, ready: &[MemRequest]) -> Vec<usize> {
+    fn fire(inj: &mut FaultInjector, ready: &[MemRequest]) -> Vec<MemRequest> {
         for _ in 0..256 {
             let granted = inj.arbitrate(ready);
             inj.tick();
@@ -389,7 +366,7 @@ mod tests {
         let ready = vec![MemRequest::load(0, 0x00), MemRequest::load(1, 0x40)];
         let granted = fire(&mut inj, &ready);
         let mut out = Vec::new();
-        inj.audit_round(&ready, &granted, &mut out);
+        inj.audit_round(OfferedBuf::new(&ready).view(), &granted, &mut out);
         assert!(
             out.iter().any(|v| v.rule == "banked-double-grant"),
             "{out:?}"
@@ -403,7 +380,7 @@ mod tests {
         let ready = vec![MemRequest::store(0, 0x00), MemRequest::load(1, 0x40)];
         let granted = fire(&mut inj, &ready);
         let mut out = Vec::new();
-        inj.audit_round(&ready, &granted, &mut out);
+        inj.audit_round(OfferedBuf::new(&ready).view(), &granted, &mut out);
         assert!(
             out.iter().any(|v| v.rule == "repl-store-overlap"),
             "{out:?}"

@@ -47,7 +47,7 @@
 //!     MemRequest::load(3, 0x28),
 //! ];
 //! let granted = lbic.arbitrate(&ready);
-//! assert_eq!(granted, vec![0, 1, 2, 3]); // all four in one cycle
+//! assert_eq!(granted, ready); // all four in one cycle
 //! ```
 
 #![forbid(unsafe_code)]
@@ -72,5 +72,5 @@ pub use inject::{FaultClass, FaultInjector};
 pub use lbic::{CombinePolicy, Lbic};
 pub use model::{PortConfig, PortModel};
 pub use replicated::ReplicatedPorts;
-pub use request::{MemRequest, Offered};
+pub use request::{MemRequest, Offered, OfferedBuf};
 pub use stats::ArbStats;

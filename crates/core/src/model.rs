@@ -8,106 +8,60 @@ use crate::banked::BankedPorts;
 use crate::ideal::IdealPorts;
 use crate::lbic::{CombinePolicy, Lbic};
 use crate::replicated::ReplicatedPorts;
-use crate::request::{MemRequest, Offered};
+use crate::request::{MemRequest, Offered, OfferedBuf};
 use crate::stats::ArbStats;
 
 /// A data-cache port-arbitration model.
 ///
-/// The simulator calls [`arbitrate_into`](Self::arbitrate_into) once per
-/// cycle with the ready memory references *in age order* (oldest first)
-/// and receives the indices of the references the cache structure
-/// services this cycle, written into a caller-owned buffer so the
-/// per-cycle arbitration allocates nothing.
+/// The simulator calls [`arbitrate_offered`](Self::arbitrate_offered)
+/// once per cycle with the ready memory references as a borrowed
+/// [`Offered`] view *in age order* (oldest first) and receives the
+/// requests the cache structure services this cycle, written into a
+/// caller-owned buffer so the per-cycle arbitration allocates nothing.
+/// Each model walks the view in place under its own structural rules
+/// (DESIGN.md §6); that walk is both the implementation and the spec.
 /// [`tick`](Self::tick) is called once at the end of every cycle so models
 /// with internal state (the LBIC's per-bank store queues) can advance.
 ///
 /// Implementations guarantee:
-/// * returned indices are strictly increasing and within range;
+/// * granted requests are offered ones, in age order (strictly
+///   increasing ids), each at most once;
 /// * the number of grants never exceeds [`peak_per_cycle`](Self::peak_per_cycle);
 /// * arbitration is work-conserving under each model's structural rules
 ///   (no request is refused unless a rule forbids granting it).
 pub trait PortModel {
-    /// Selects which of the age-ordered `ready` references are serviced
-    /// this cycle, writing their indices in increasing order into
-    /// `granted` (cleared first).
-    fn arbitrate_into(&mut self, ready: &[MemRequest], granted: &mut Vec<usize>);
+    /// Selects which requests of the age-ordered `offered` view are
+    /// serviced this cycle and writes them, oldest first, into `granted`
+    /// (cleared first).
+    ///
+    /// The driver presents the view every cycle, including empty rounds
+    /// (so store queues drain). A grant the driver then rejects (MSHRs
+    /// full) simply stays offered for the next round.
+    fn arbitrate_offered(&mut self, offered: Offered<'_>, granted: &mut Vec<MemRequest>);
 
     /// Allocating convenience wrapper around
-    /// [`arbitrate_into`](Self::arbitrate_into), for tests and one-shot
-    /// callers.
-    fn arbitrate(&mut self, ready: &[MemRequest]) -> Vec<usize> {
+    /// [`arbitrate_offered`](Self::arbitrate_offered) for tests and
+    /// one-shot callers: `ready` is the age-ordered request list (ids
+    /// strictly increasing, the [`Offered`] contract).
+    fn arbitrate(&mut self, ready: &[MemRequest]) -> Vec<MemRequest> {
         let mut granted = Vec::new();
-        self.arbitrate_into(ready, &mut granted);
+        self.arbitrate_offered(OfferedBuf::new(ready).view(), &mut granted);
         granted
     }
 
-    /// Records that `req` joined the standing offered set. Models that
-    /// maintain incremental per-bank indexes over the offered set (the
-    /// banked and LBIC structures) update them here in O(log n); the
-    /// default is a no-op for models that read the
-    /// [`Offered`] view directly each round.
-    ///
-    /// Drivers using [`arbitrate_offered`](Self::arbitrate_offered) must
-    /// report *every* mutation of the offered set through
-    /// `offer_insert`/[`offer_remove`](Self::offer_remove) (or rebuild
-    /// wholesale with [`offer_reset`](Self::offer_reset)) before the next
-    /// round. Ids are unique and strictly increase with age across the
-    /// set's lifetime.
+    /// Notification that `req` joined the offered set. Every bundled
+    /// model reads the [`Offered`] view in place each round, so this is
+    /// a no-op; it stays only because the benchmark harness
+    /// (`perfbench/harness`) still calls it, and goes at the next change
+    /// to that harness.
     fn offer_insert(&mut self, req: MemRequest) {
         let _ = req;
     }
 
-    /// Records that `req` left the standing offered set (it was granted,
-    /// forwarded, or squashed). See [`offer_insert`](Self::offer_insert).
+    /// Notification that `req` left the offered set. A no-op, like
+    /// [`offer_insert`](Self::offer_insert).
     fn offer_remove(&mut self, req: MemRequest) {
         let _ = req;
-    }
-
-    /// Rebuilds any incremental offered-set indexes from scratch to match
-    /// `offered` exactly — called after a snapshot restore, where the
-    /// driver reconstructed its offered set from serialized state rather
-    /// than through insert/remove events. The default is a no-op.
-    fn offer_reset(&mut self, offered: Offered<'_>) {
-        let _ = offered;
-    }
-
-    /// Whether this model keeps an incremental offered-set mirror, i.e.
-    /// whether [`offer_insert`](Self::offer_insert)/
-    /// [`offer_remove`](Self::offer_remove) do real bookkeeping work.
-    /// Mirror upkeep costs a fixed amount per offered-set transition, so
-    /// it only pays off when the standing backlog is re-offered for many
-    /// rounds before draining; drivers use this flag to fall back to the
-    /// slice-walking [`arbitrate_into`](Self::arbitrate_into) round — and
-    /// stop reporting deltas — in low-backlog regimes. Models answering
-    /// `false` have free (no-op) offer hooks, so for them the batched
-    /// entry point is never worse than the slice walk and the driver need
-    /// not track deltas at all. Both entry points compute identical
-    /// grants and statistics either way.
-    fn mirrors_offers(&self) -> bool {
-        false
-    }
-
-    /// Batched arbitration round over the standing offered set: selects
-    /// which requests are serviced this cycle and writes them (in age
-    /// order, i.e. ascending id) into `granted`, cleared first.
-    ///
-    /// Semantically identical to calling
-    /// [`arbitrate_into`](Self::arbitrate_into) on the materialized view
-    /// — same grants, same order, same statistics — which is exactly what
-    /// the default implementation does. Models override it to arbitrate
-    /// from incremental per-bank indexes instead of walking the whole
-    /// age-ordered set every round. The driver keeps offering the set
-    /// every cycle (including empty rounds, so store queues drain) and
-    /// does *not* report grants via
-    /// [`offer_remove`](Self::offer_remove) until the grant is actually
-    /// serviced (a grant the driver rejects — e.g. MSHRs full — simply
-    /// stays offered).
-    fn arbitrate_offered(&mut self, offered: Offered<'_>, granted: &mut Vec<MemRequest>) {
-        let ready: Vec<MemRequest> = offered.iter().collect();
-        let mut idx = Vec::new();
-        self.arbitrate_into(&ready, &mut idx);
-        granted.clear();
-        granted.extend(idx.iter().map(|&i| ready[i]));
     }
 
     /// Advances internal state by one cycle (store-queue drain, etc.).
@@ -126,17 +80,17 @@ pub trait PortModel {
     /// Re-checks one arbitration round against this model's structural
     /// legality rules, appending any [`Violation`]s to `out`.
     ///
-    /// `ready` and `granted` are the exact arguments/results of the
-    /// matching [`arbitrate_into`](Self::arbitrate_into) call. The check
-    /// is a pure observer — it recomputes legality independently of the
-    /// arbitration path and never perturbs model state — so an audited
-    /// simulation is bit-identical to an unaudited one. The default
-    /// implementation applies only the generic invariants (indices
-    /// strictly increasing, in range, at most
-    /// [`peak_per_cycle`](Self::peak_per_cycle) grants); models override
+    /// `offered` and `granted` are the exact argument/result of the
+    /// matching [`arbitrate_offered`](Self::arbitrate_offered) call. The
+    /// check is a pure observer — it recomputes legality independently
+    /// of the arbitration walk and never perturbs model state — so an
+    /// audited simulation is bit-identical to an unaudited one. The
+    /// default implementation applies only the generic invariants
+    /// (grants offered, in strict age order, at most
+    /// [`peak_per_cycle`](Self::peak_per_cycle) of them); models override
     /// it to add their own rules.
-    fn audit_round(&self, ready: &[MemRequest], granted: &[usize], out: &mut Vec<Violation>) {
-        audit::check_generic(self.peak_per_cycle(), ready, granted, out);
+    fn audit_round(&self, offered: Offered<'_>, granted: &[MemRequest], out: &mut Vec<Violation>) {
+        audit::check_generic(self.peak_per_cycle(), offered, granted, out);
     }
 
     /// One-line snapshot of model-internal state (store-queue occupancy
@@ -458,6 +412,73 @@ mod tests {
             PortConfig::load_state(&mut StateReader::new(&bytes)),
             Err(SnapError::Corrupt(_))
         ));
+    }
+
+    /// Every strict prefix of a model's `save_state` payload must be
+    /// rejected with an error — never a panic, never a silent partial
+    /// load — by a freshly built model of the same configuration.
+    #[test]
+    fn truncated_model_state_is_always_rejected() {
+        use crate::inject::{FaultClass, FaultInjector};
+        let lbic = |policy| PortConfig::Lbic {
+            banks: 2,
+            line_ports: 2,
+            store_queue: 4,
+            policy,
+        };
+        let configs = [
+            PortConfig::Ideal { ports: 2 },
+            PortConfig::Replicated { ports: 2 },
+            PortConfig::banked(2),
+            lbic(CombinePolicy::LeadingRequest),
+            lbic(CombinePolicy::LargestGroup),
+        ];
+        type Build = Box<dyn Fn() -> Box<dyn PortModel>>;
+        let mut builders: Vec<(String, Build)> = configs
+            .iter()
+            .map(|&cfg| (format!("{cfg:?}"), Box::new(move || cfg.build(32)) as Build))
+            .collect();
+        builders.push((
+            "FaultInjector".into(),
+            Box::new(|| {
+                Box::new(
+                    FaultInjector::new(PortConfig::banked(2), 32, FaultClass::BankDoubleGrant, 5)
+                        .unwrap(),
+                )
+            }),
+        ));
+        // Same-bank stores and loads over two lines: conflicts, combining
+        // and queued stores, so every serialized field is non-trivial.
+        let ready = [
+            MemRequest::store(0, 0x00),
+            MemRequest::load(1, 0x08),
+            MemRequest::store(2, 0x40),
+            MemRequest::load(3, 0x20),
+        ];
+        for (name, build) in &builders {
+            let mut model = build();
+            for _ in 0..3 {
+                model.arbitrate(&ready);
+                model.tick();
+            }
+            let mut w = StateWriter::new();
+            model.save_state(&mut w);
+            let bytes = w.into_bytes();
+            let mut whole = build();
+            let mut r = StateReader::new(&bytes);
+            whole.load_state(&mut r).unwrap();
+            r.expect_end().unwrap();
+            for cut in 0..bytes.len() {
+                let mut fresh = build();
+                assert!(
+                    fresh
+                        .load_state(&mut StateReader::new(&bytes[..cut]))
+                        .is_err(),
+                    "{name}: a {cut}-byte prefix of {} loaded",
+                    bytes.len()
+                );
+            }
+        }
     }
 
     #[test]

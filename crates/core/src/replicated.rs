@@ -28,7 +28,7 @@ use crate::stats::ArbStats;
 /// let mut m = ReplicatedPorts::new(2);
 /// // Oldest is a store: it goes alone.
 /// let g = m.arbitrate(&[MemRequest::store(0, 0), MemRequest::load(1, 64)]);
-/// assert_eq!(g, vec![0]);
+/// assert_eq!(g, vec![MemRequest::store(0, 0)]);
 /// ```
 #[derive(Debug)]
 pub struct ReplicatedPorts {
@@ -52,43 +52,23 @@ impl ReplicatedPorts {
 }
 
 impl PortModel for ReplicatedPorts {
-    fn arbitrate_into(&mut self, ready: &[MemRequest], granted: &mut Vec<usize>) {
-        granted.clear();
-        if ready.is_empty() {
-            // nothing to grant
-        } else if ready[0].is_store {
-            // Broadcast store: exclusive use of all copies this cycle.
-            self.stats.bump("store_serializations", 1);
-            granted.push(0);
-        } else {
-            for (i, r) in ready.iter().enumerate() {
-                if r.is_store {
-                    // A younger store blocks nothing ahead of it but
-                    // cannot itself launch beside the loads.
-                    break;
-                }
-                granted.push(i);
-                if granted.len() == self.ports {
-                    break;
-                }
-            }
-        }
-        self.stats.record_round(ready.len(), granted.len());
-    }
-
     // Grants are a prefix of the age-ordered loads up to the first store
-    // (or the lone leading store), so the batched round inspects at most
+    // (or the lone leading store), so the round inspects at most
     // `ports + 1` view entries — O(ports) regardless of backlog length.
     fn arbitrate_offered(&mut self, offered: Offered<'_>, granted: &mut Vec<MemRequest>) {
         granted.clear();
+        let stores = offered.stores();
         if offered.is_empty() {
             // nothing to grant
-        } else if offered.stores()[0] {
+        } else if stores[0] {
+            // Broadcast store: exclusive use of all copies this cycle.
             self.stats.bump("store_serializations", 1);
             granted.push(offered.get(0));
         } else {
-            for k in 0..offered.len() {
-                if offered.stores()[k] {
+            for (k, &is_store) in stores.iter().enumerate() {
+                if is_store {
+                    // A younger store blocks nothing ahead of it but
+                    // cannot itself launch beside the loads.
                     break;
                 }
                 granted.push(offered.get(k));
@@ -126,20 +106,19 @@ impl PortModel for ReplicatedPorts {
 
     /// Replication legality: a store broadcasts to every cache copy, so a
     /// granted store must be the *only* grant of its cycle.
-    fn audit_round(&self, ready: &[MemRequest], granted: &[usize], out: &mut Vec<Violation>) {
-        audit::check_generic(self.peak_per_cycle(), ready, granted, out);
+    fn audit_round(&self, offered: Offered<'_>, granted: &[MemRequest], out: &mut Vec<Violation>) {
+        audit::check_generic(self.peak_per_cycle(), offered, granted, out);
         if granted.len() > 1 {
-            for &g in granted {
-                if ready.get(g).is_some_and(|r| r.is_store) {
-                    out.push(Violation::new(
-                        "repl-store-overlap",
-                        format!(
-                            "store at index {g} granted alongside {} other grants \
-                             (broadcast stores are exclusive)",
-                            granted.len() - 1
-                        ),
-                    ));
-                }
+            for g in granted.iter().filter(|g| g.is_store) {
+                out.push(Violation::new(
+                    "repl-store-overlap",
+                    format!(
+                        "store {} granted alongside {} other grants \
+                         (broadcast stores are exclusive)",
+                        g.id,
+                        granted.len() - 1
+                    ),
+                ));
             }
         }
     }
@@ -153,7 +132,7 @@ mod tests {
     fn loads_fill_all_ports() {
         let mut m = ReplicatedPorts::new(4);
         let ready: Vec<MemRequest> = (0..6).map(|i| MemRequest::load(i, i * 8)).collect();
-        assert_eq!(m.arbitrate(&ready), vec![0, 1, 2, 3]);
+        assert_eq!(m.arbitrate(&ready), ready[..4]);
     }
 
     #[test]
@@ -164,7 +143,7 @@ mod tests {
             MemRequest::load(1, 8),
             MemRequest::load(2, 16),
         ];
-        assert_eq!(m.arbitrate(&ready), vec![0]);
+        assert_eq!(m.arbitrate(&ready), ready[..1]);
         assert_eq!(m.stats().extra_counter("store_serializations"), 1);
     }
 
@@ -179,14 +158,14 @@ mod tests {
         ];
         // The two loads ahead of the store go; the store and everything
         // younger wait (stores may not launch beside any other access).
-        assert_eq!(m.arbitrate(&ready), vec![0, 1]);
+        assert_eq!(m.arbitrate(&ready), ready[..2]);
     }
 
     #[test]
     fn single_port_behaves_like_single_cache() {
         let mut m = ReplicatedPorts::new(1);
         let ready = vec![MemRequest::load(0, 0), MemRequest::load(1, 8)];
-        assert_eq!(m.arbitrate(&ready), vec![0]);
+        assert_eq!(m.arbitrate(&ready), ready[..1]);
     }
 
     #[test]

@@ -53,10 +53,9 @@ impl MemRequest {
 /// The three slices are parallel: element `k` of each describes one
 /// request, and requests appear in age order with **strictly increasing
 /// ids** (the driver uses dispatch sequence numbers as ids, so id order
-/// *is* age order). Models that keep incremental per-bank indexes rely on
-/// that contract to reproduce the age-priority semantics of the
-/// slice-walking [`arbitrate_into`](crate::PortModel::arbitrate_into)
-/// path exactly.
+/// *is* age order). Models walk the view in place, oldest first; grants
+/// come back as requests in the same order, and the auditor locates a
+/// grant in the view by its id.
 ///
 /// # Examples
 ///
@@ -131,6 +130,41 @@ impl<'a> Offered<'a> {
             addr: addrs[k],
             is_store: stores[k],
         })
+    }
+}
+
+/// Owned structure-of-arrays storage behind an [`Offered`] view, for
+/// tests and one-shot callers that hold their requests as a slice.
+///
+/// # Examples
+///
+/// ```
+/// use hbdc_core::{MemRequest, OfferedBuf};
+///
+/// let buf = OfferedBuf::new(&[MemRequest::load(1, 0x40), MemRequest::store(2, 0x80)]);
+/// assert_eq!(buf.view().ids(), [1, 2]);
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct OfferedBuf {
+    ids: Vec<u64>,
+    addrs: Vec<u64>,
+    stores: Vec<bool>,
+}
+
+impl OfferedBuf {
+    /// Splits `reqs` (age order, ids strictly increasing) into parallel
+    /// arrays.
+    pub fn new(reqs: &[MemRequest]) -> Self {
+        Self {
+            ids: reqs.iter().map(|r| r.id).collect(),
+            addrs: reqs.iter().map(|r| r.addr).collect(),
+            stores: reqs.iter().map(|r| r.is_store).collect(),
+        }
+    }
+
+    /// Borrows the arrays as an [`Offered`] view.
+    pub fn view(&self) -> Offered<'_> {
+        Offered::new(&self.ids, &self.addrs, &self.stores)
     }
 }
 

@@ -4,21 +4,24 @@
 
 use proptest::prelude::*;
 
-use hbdc_core::{CombinePolicy, FaultClass, FaultInjector, MemRequest, PortConfig, PortModel};
+use hbdc_core::{
+    CombinePolicy, FaultClass, FaultInjector, MemRequest, OfferedBuf, PortConfig, PortModel,
+};
 
-fn arb_request() -> impl Strategy<Value = MemRequest> {
-    (0u64..4096, any::<bool>()).prop_map(|(slot, is_store)| {
-        let addr = slot * 8 % 0x20000;
-        MemRequest {
-            id: slot,
-            addr,
-            is_store,
-        }
-    })
-}
-
+/// An age-ordered ready list: ids are positions (strictly increasing, the
+/// `Offered` contract).
 fn arb_ready() -> impl Strategy<Value = Vec<MemRequest>> {
-    prop::collection::vec(arb_request(), 0..40)
+    prop::collection::vec((0u64..4096, any::<bool>()), 0..40).prop_map(|slots| {
+        slots
+            .into_iter()
+            .enumerate()
+            .map(|(i, (slot, is_store))| MemRequest {
+                id: i as u64,
+                addr: slot * 8 % 0x20000,
+                is_store,
+            })
+            .collect()
+    })
 }
 
 fn all_configs() -> Vec<PortConfig> {
@@ -71,7 +74,7 @@ proptest! {
             let mut out = Vec::new();
             for ready in &rounds {
                 let granted = model.arbitrate(ready);
-                model.audit_round(ready, &granted, &mut out);
+                model.audit_round(OfferedBuf::new(ready).view(), &granted, &mut out);
                 prop_assert!(
                     out.is_empty(),
                     "{}: clean round flagged: {:?}",
@@ -97,7 +100,7 @@ proptest! {
             for ready in &rounds {
                 let granted = inj.arbitrate(ready);
                 out.clear();
-                inj.audit_round(ready, &granted, &mut out);
+                inj.audit_round(OfferedBuf::new(ready).view(), &granted, &mut out);
                 if inj.fired_last_round() {
                     prop_assert!(
                         !out.is_empty(),
@@ -161,7 +164,7 @@ fn all_four_fault_classes_fire_and_are_caught() {
         for _ in 0..128 {
             let granted = inj.arbitrate(ready);
             let mut out = Vec::new();
-            inj.audit_round(ready, &granted, &mut out);
+            inj.audit_round(OfferedBuf::new(ready).view(), &granted, &mut out);
             if inj.fired_last_round() {
                 assert!(
                     out.iter().any(|v| v.rule == rule),

@@ -3,24 +3,23 @@
 
 use proptest::prelude::*;
 
-use hbdc_core::{CombinePolicy, MemRequest, Offered, PortConfig};
+use hbdc_core::{CombinePolicy, MemRequest, PortConfig};
 use hbdc_mem::BankMapper;
-use hbdc_snap::{StateReader, StateWriter};
 
-fn arb_request() -> impl Strategy<Value = MemRequest> {
-    (0u64..4096, any::<bool>()).prop_map(|(slot, is_store)| {
-        // Addresses over a 128KB region, 8-byte aligned.
-        let addr = slot * 8 % 0x20000;
-        MemRequest {
-            id: slot,
-            addr,
-            is_store,
-        }
-    })
-}
-
+/// An age-ordered ready list: ids are positions (strictly increasing, the
+/// `Offered` contract), addresses span a 128KB region, 8-byte aligned.
 fn arb_ready() -> impl Strategy<Value = Vec<MemRequest>> {
-    prop::collection::vec(arb_request(), 0..40)
+    prop::collection::vec((0u64..4096, any::<bool>()), 0..40).prop_map(|slots| {
+        slots
+            .into_iter()
+            .enumerate()
+            .map(|(i, (slot, is_store))| MemRequest {
+                id: i as u64,
+                addr: slot * 8 % 0x20000,
+                is_store,
+            })
+            .collect()
+    })
 }
 
 fn all_configs() -> Vec<PortConfig> {
@@ -41,134 +40,6 @@ fn all_configs() -> Vec<PortConfig> {
     ]
 }
 
-/// Multi-round arrival schedule for the batched-vs-naive equivalence
-/// sessions: per round, a batch of (address slot, is_store) arrivals.
-/// Ids are assigned monotonically by the driver, so the offered set
-/// always satisfies the strictly-increasing-id [`Offered`] contract —
-/// exactly what the simulator's age-ordered LSQ ready list provides.
-fn arb_arrivals() -> impl Strategy<Value = Vec<Vec<(u64, bool)>>> {
-    prop::collection::vec(
-        prop::collection::vec((0u64..512, any::<bool>()), 0..12),
-        1..16,
-    )
-}
-
-/// Configurations for the equivalence sessions — every model family,
-/// including tight store queues so the LBIC sq-full gating paths fire.
-fn equivalence_configs() -> Vec<PortConfig> {
-    let mut configs = all_configs();
-    configs.push(PortConfig::Lbic {
-        banks: 2,
-        line_ports: 2,
-        store_queue: 1,
-        policy: CombinePolicy::LeadingRequest,
-    });
-    configs.push(PortConfig::Lbic {
-        banks: 2,
-        line_ports: 3,
-        store_queue: 1,
-        policy: CombinePolicy::LargestGroup,
-    });
-    configs
-}
-
-/// Drives one naive model (`arbitrate_into` over the full slice every
-/// round) and one batched model (incremental `offer_insert`/
-/// `offer_remove` mirror + `arbitrate_offered`) through the same
-/// arrival schedule, granting and retiring identically. Asserts the
-/// grant sets match in content *and order* every round and that the
-/// final statistics (including the order-sensitive extra-counter list)
-/// are identical. When `snapshot_round` is set, the batched model is
-/// serialized and rebuilt mid-burst — `load_state` from the unchanged
-/// snapshot bytes plus `offer_reset` from the live offered view — and
-/// must still track the naive reference bit-for-bit afterwards.
-fn check_batched_equivalence(
-    config: &PortConfig,
-    arrivals: &[Vec<(u64, bool)>],
-    snapshot_round: Option<usize>,
-) -> Result<(), TestCaseError> {
-    let mut naive = config.build(32);
-    let mut batched = config.build(32);
-    let label = naive.label();
-    let mut reqs: Vec<MemRequest> = Vec::new();
-    let (mut ids, mut addrs, mut stores) = (Vec::new(), Vec::new(), Vec::new());
-    let mut next_id = 0u64;
-    let mut granted_ix = Vec::new();
-    let mut granted = Vec::new();
-    for (round, batch) in arrivals.iter().enumerate() {
-        for &(slot, is_store) in batch {
-            let req = MemRequest {
-                id: next_id,
-                addr: slot * 8 % 0x20000,
-                is_store,
-            };
-            next_id += 1;
-            reqs.push(req);
-            ids.push(req.id);
-            addrs.push(req.addr);
-            stores.push(req.is_store);
-            batched.offer_insert(req);
-        }
-        if snapshot_round == Some(round) {
-            let mut w = StateWriter::new();
-            batched.save_state(&mut w);
-            let bytes = w.into_bytes();
-            let mut restored = config.build(32);
-            restored
-                .load_state(&mut StateReader::new(&bytes))
-                .expect("snapshot round-trips");
-            restored.offer_reset(Offered::new(&ids, &addrs, &stores));
-            batched = restored;
-        }
-        naive.arbitrate_into(&reqs, &mut granted_ix);
-        batched.arbitrate_offered(Offered::new(&ids, &addrs, &stores), &mut granted);
-        let naive_grants: Vec<MemRequest> = granted_ix.iter().map(|&i| reqs[i]).collect();
-        prop_assert_eq!(
-            &naive_grants,
-            &granted,
-            "{}: grant divergence in round {}",
-            label,
-            round
-        );
-        for g in &granted {
-            batched.offer_remove(*g);
-            let pos = ids.binary_search(&g.id).expect("granted id is offered");
-            ids.remove(pos);
-            addrs.remove(pos);
-            stores.remove(pos);
-            reqs.remove(pos);
-        }
-        naive.tick();
-        batched.tick();
-    }
-    prop_assert_eq!(
-        naive.stats().offered(),
-        batched.stats().offered(),
-        "{}",
-        label
-    );
-    prop_assert_eq!(
-        naive.stats().granted(),
-        batched.stats().granted(),
-        "{}",
-        label
-    );
-    prop_assert_eq!(
-        naive.stats().cycles(),
-        batched.stats().cycles(),
-        "{}",
-        label
-    );
-    prop_assert_eq!(
-        naive.stats().rounds(),
-        batched.stats().rounds(),
-        "{}",
-        label
-    );
-    prop_assert_eq!(naive.stats().extra(), batched.stats().extra(), "{}", label);
-    Ok(())
-}
-
 proptest! {
     #[test]
     fn grants_are_sorted_unique_bounded(rounds in prop::collection::vec(arb_ready(), 1..20)) {
@@ -178,10 +49,10 @@ proptest! {
                 let granted = model.arbitrate(ready);
                 model.tick();
                 prop_assert!(granted.len() <= model.peak_per_cycle(), "{}", model.label());
-                prop_assert!(granted.windows(2).all(|w| w[0] < w[1]),
+                prop_assert!(granted.windows(2).all(|w| w[0].id < w[1].id),
                     "{}: not strictly increasing", model.label());
-                prop_assert!(granted.iter().all(|&i| i < ready.len()),
-                    "{}: index out of range", model.label());
+                prop_assert!(granted.iter().all(|g| ready.get(g.id as usize) == Some(g)),
+                    "{}: granted a request that was not offered", model.label());
             }
         }
     }
@@ -190,8 +61,7 @@ proptest! {
     fn ideal_grants_exactly_the_oldest_prefix(ready in arb_ready()) {
         let mut model = PortConfig::Ideal { ports: 5 }.build(32);
         let granted = model.arbitrate(&ready);
-        let expect: Vec<usize> = (0..ready.len().min(5)).collect();
-        prop_assert_eq!(granted, expect);
+        prop_assert_eq!(granted, &ready[..ready.len().min(5)]);
     }
 
     #[test]
@@ -200,7 +70,7 @@ proptest! {
         for ready in &rounds {
             let granted = model.arbitrate(ready);
             model.tick();
-            let has_store = granted.iter().any(|&i| ready[i].is_store);
+            let has_store = granted.iter().any(|g| g.is_store);
             if has_store {
                 prop_assert_eq!(granted.len(), 1, "a broadcast store must go alone");
             }
@@ -213,8 +83,8 @@ proptest! {
         let mut model = PortConfig::banked(4).build(32);
         let granted = model.arbitrate(&ready);
         let mut seen = [false; 4];
-        for &i in &granted {
-            let bank = mapper.bank_of(ready[i].addr) as usize;
+        for g in &granted {
+            let bank = mapper.bank_of(g.addr) as usize;
             prop_assert!(!seen[bank], "two grants in bank {}", bank);
             seen[bank] = true;
         }
@@ -227,15 +97,15 @@ proptest! {
         let mapper = BankMapper::bit_select(4, 32);
         let mut model = PortConfig::banked(4).build(32);
         let granted = model.arbitrate(&ready);
-        for (i, r) in ready.iter().enumerate() {
-            if granted.contains(&i) {
+        for r in &ready {
+            if granted.contains(r) {
                 continue;
             }
             let bank = mapper.bank_of(r.addr);
             let blocked_by_older = granted
                 .iter()
-                .any(|&g| g < i && mapper.bank_of(ready[g].addr) == bank);
-            prop_assert!(blocked_by_older, "request {i} refused without cause");
+                .any(|g| g.id < r.id && mapper.bank_of(g.addr) == bank);
+            prop_assert!(blocked_by_older, "request {} refused without cause", r.id);
         }
     }
 
@@ -253,9 +123,9 @@ proptest! {
             let granted = model.arbitrate(&ready);
             let mut per_bank: [Option<u64>; 4] = [None; 4];
             let mut counts = [0usize; 4];
-            for &i in &granted {
-                let bank = mapper.bank_of(ready[i].addr) as usize;
-                let line = ready[i].addr >> 5;
+            for g in &granted {
+                let bank = mapper.bank_of(g.addr) as usize;
+                let line = g.addr >> 5;
                 match per_bank[bank] {
                     None => per_bank[bank] = Some(line),
                     Some(l) => prop_assert_eq!(l, line,
@@ -293,26 +163,6 @@ proptest! {
             prop_assert_eq!(model.stats().offered(), offered);
             prop_assert_eq!(model.stats().granted(), granted);
             prop_assert_eq!(model.stats().cycles(), rounds.len() as u64);
-        }
-    }
-
-    #[test]
-    fn batched_arbitration_matches_naive(arrivals in arb_arrivals()) {
-        for config in equivalence_configs() {
-            check_batched_equivalence(&config, &arrivals, None)?;
-        }
-    }
-
-    #[test]
-    fn batched_arbitration_survives_midburst_snapshot(
-        arrivals in arb_arrivals(),
-        snap in 0usize..16,
-    ) {
-        // The snapshot bytes carry no mirror state; the rebuilt model's
-        // derived indices must reconstruct from `offer_reset` alone.
-        for config in equivalence_configs() {
-            let round = snap % arrivals.len();
-            check_batched_equivalence(&config, &arrivals, Some(round))?;
         }
     }
 }

@@ -8,9 +8,10 @@
 //! known, stays known; prior stores resolve and never un-resolve; a
 //! blocking store only leaves the queue once — so each entry makes O(1)
 //! classification transitions over its lifetime, and the per-cycle cost
-//! of [`collect_ready_into`](Lsq::collect_ready_into) is the size of the
-//! ready list plus the transitions that actually happened. Simulation
-//! time scales with work, not with queue occupancy.
+//! of [`begin_round`](Lsq::begin_round) is the transitions that actually
+//! happened; the ready list itself is borrowed in place through
+//! [`ready_view`](Lsq::ready_view). Simulation time scales with work, not
+//! with queue occupancy.
 
 use std::collections::{HashMap, VecDeque};
 
@@ -144,8 +145,8 @@ pub struct Lsq {
     // serialized — rebuilt from the entries on snapshot load). -----
     //
     // The persistent ready list, in age order: exactly what the next
-    // `collect_ready_into` call reports as `cache`, kept current by the
-    // mark_*/retire event handlers. Structure-of-arrays (parallel id /
+    // `ready_view` call reports, kept current by the mark_*/retire event
+    // handlers. Structure-of-arrays (parallel id /
     // addr / is_store vectors, always the same length) so the simulator's
     // arbitration round can borrow it in place as an [`Offered`] view
     // instead of copying every offered reference every cycle.
@@ -157,17 +158,6 @@ pub struct Lsq {
     // head bump instead of a three-vector memmove. The stale prefix
     // `[0, ready_head)` is reclaimed once it exceeds `READY_COMPACT`.
     ready_head: usize,
-    // Every ready-list mutation since the last drain, in event order
-    // (`true` = inserted, `false` = removed): the feed for the port
-    // model's incremental offered-set mirrors. Bounded by the simulator
-    // draining it once per arbitration round; `rebuild_derived` clears it
-    // because a snapshot restore re-seeds the mirrors wholesale.
-    ready_log: Vec<(MemRequest, bool)>,
-    /// Whether ready-list mutations are recorded into `ready_log`. The
-    /// simulator only pays for the log while the port model's offered-set
-    /// mirror is live (the batched arbitration mode); in the
-    /// slice-walking mode no consumer exists and logging is switched off.
-    log_ready: bool,
     // Loads that became forwardable since the last collect; drained once
     // (the simulator services a reported forward in the same cycle).
     pending_forwards: Vec<u64>,
@@ -176,7 +166,7 @@ pub struct Lsq {
     // loads younger than it are blocked on a prior store address.
     unknown_stores: VecDeque<u64>,
     // Stores with address and data known, awaiting the completion
-    // frontier; age-sorted. `collect_ready_into` drains the prefix that
+    // frontier; age-sorted. `begin_round` drains the prefix that
     // the (monotone) frontier has passed into `ready`.
     eligible_stores: Vec<u64>,
     // Loads with known addresses blocked behind `unknown_stores.front()`,
@@ -221,8 +211,6 @@ impl Lsq {
             ready_addrs: Vec::new(),
             ready_stores: Vec::new(),
             ready_head: 0,
-            ready_log: Vec::new(),
-            log_ready: true,
             pending_forwards: Vec::new(),
             unknown_stores: VecDeque::new(),
             eligible_stores: Vec::new(),
@@ -334,22 +322,16 @@ impl Lsq {
             self.ready_addrs.insert(h + k, c.addr);
             self.ready_stores.insert(h + k, c.is_store);
         }
-        if self.log_ready {
-            self.ready_log.push((c, true));
-        }
     }
 
     fn ready_remove(&mut self, seq: u64) -> bool {
         let h = self.ready_head;
         let k = self.ready_ids[h..].partition_point(|&id| id < seq);
         if self.ready_ids[h..].get(k) == Some(&seq) {
-            let (addr, is_store);
             if k == 0 {
                 // Front pop: leave the slot stale and bump the head; the
                 // prefix is reclaimed in bulk once it grows past
                 // `READY_COMPACT`, keeping removal amortized O(1).
-                addr = self.ready_addrs[h];
-                is_store = self.ready_stores[h];
                 self.ready_head = h + 1;
                 if self.ready_head >= READY_COMPACT {
                     self.ready_ids.drain(..self.ready_head);
@@ -359,18 +341,8 @@ impl Lsq {
                 }
             } else {
                 self.ready_ids.remove(h + k);
-                addr = self.ready_addrs.remove(h + k);
-                is_store = self.ready_stores.remove(h + k);
-            }
-            if self.log_ready {
-                self.ready_log.push((
-                    MemRequest {
-                        id: seq,
-                        addr,
-                        is_store,
-                    },
-                    false,
-                ));
+                self.ready_addrs.remove(h + k);
+                self.ready_stores.remove(h + k);
             }
             true
         } else {
@@ -666,44 +638,17 @@ impl Lsq {
         }
     }
 
-    /// Reports this cycle's ready sets into the caller-owned `out`
-    /// (cleared first): the event-maintained ready list, plus any stores
-    /// the completion frontier has newly passed, plus the loads that
-    /// became forwardable since the last call. O(ready + transitions),
-    /// not O(occupancy). Also accrues this cycle's stall counters from
-    /// the maintained blocked-load census.
+    /// Opens one cycle's round: promotes stores the completion frontier
+    /// has newly passed into the ready list and accrues this cycle's stall
+    /// counters from the maintained blocked-load census. O(transitions),
+    /// not O(occupancy). The caller follows with
+    /// [`ready_view`](Self::ready_view) and
+    /// [`take_forwards`](Self::take_forwards).
     ///
     /// `oldest_not_done` is the RUU's completion frontier: stores older
     /// than it (i.e. with every older instruction complete) may perform
     /// their commit-time cache access. The frontier must be monotone
     /// across calls (it is: the RUU's Done prefix only grows).
-    pub fn collect_ready_into(&mut self, oldest_not_done: u64, out: &mut ReadyRefs) {
-        self.begin_round(oldest_not_done);
-        out.cache.clear();
-        out.cache.extend(
-            self.ready_ids[self.ready_head..]
-                .iter()
-                .zip(&self.ready_addrs[self.ready_head..])
-                .zip(&self.ready_stores[self.ready_head..])
-                .map(|((&seq, &addr), &is_store)| CacheReady {
-                    seq,
-                    addr,
-                    is_store,
-                }),
-        );
-        // Events arrive in completion order; report forwards in age order
-        // like the scan-based classifier did.
-        self.pending_forwards.sort_unstable();
-        out.forwards.clone_from(&self.pending_forwards);
-        self.pending_forwards.clear();
-    }
-
-    /// The first half of [`collect_ready_into`](Self::collect_ready_into):
-    /// promotes stores the completion frontier has newly passed into the
-    /// ready list and accrues this cycle's stall counters. The simulator's
-    /// non-audited hot path follows with [`ready_view`](Self::ready_view)
-    /// and [`take_forwards`](Self::take_forwards), which hand over the same
-    /// sets without the intermediate [`ReadyRefs`] copy.
     pub fn begin_round(&mut self, oldest_not_done: u64) {
         let k = self
             .eligible_stores
@@ -728,10 +673,9 @@ impl Lsq {
     }
 
     /// This round's cache-ready references as a borrowed [`Offered`]
-    /// view, in age order — exactly the requests [`ReadyRefs::cache`]
-    /// reports, borrowed in place instead of copied. Ids are LSQ sequence
-    /// numbers, so they are strictly increasing across the view (the
-    /// ordering contract `Offered` documents). Valid until the next
+    /// view, in age order, borrowed in place instead of copied. Ids are
+    /// LSQ sequence numbers, so they are strictly increasing across the
+    /// view (the ordering contract `Offered` documents). Valid until the next
     /// `mark_*` or [`retire`](Self::retire) call mutates the ready list.
     /// Call after [`begin_round`](Self::begin_round).
     pub fn ready_view(&self) -> Offered<'_> {
@@ -742,54 +686,43 @@ impl Lsq {
         )
     }
 
-    /// Drains the ready-list mutations recorded since the last drain, in
-    /// event order (`true` = inserted, `false` = removed) — the feed that
-    /// keeps a port model's offered-set mirror synchronized. The simulator
-    /// drains this once per arbitration round while the batched mode is
-    /// active; after a snapshot restore (or a mode re-entry) the log is
-    /// empty and the mirror is re-seeded wholesale via
-    /// [`PortModel::offer_reset`](hbdc_core::PortModel::offer_reset).
-    pub fn drain_ready_deltas(&mut self) -> std::vec::Drain<'_, (MemRequest, bool)> {
-        self.ready_log.drain(..)
-    }
-
-    /// Switches ready-list delta logging on or off, clearing any pending
-    /// entries either way: entries buffered while the consumer was away
-    /// describe transitions its mirror never saw the baseline of, so a
-    /// consumer switching logging on must immediately re-seed via
-    /// [`PortModel::offer_reset`](hbdc_core::PortModel::offer_reset)
-    /// against the live [`ready_view`](Self::ready_view). Logging defaults
-    /// to on, matching drivers that feed a mirror from the first round.
-    pub fn set_ready_logging(&mut self, on: bool) {
-        self.log_ready = on;
-        self.ready_log.clear();
-    }
-
     /// Moves this round's newly-forwardable loads into `out` (cleared
-    /// first, age-sorted), emptying the pending set — the ownership-swap
-    /// counterpart of the [`ReadyRefs::forwards`] clone. Call after
-    /// [`begin_round`](Self::begin_round).
+    /// first, age-sorted; these loads never reach the cache), emptying
+    /// the pending set. Call after [`begin_round`](Self::begin_round).
     pub fn take_forwards(&mut self, out: &mut Vec<u64>) {
         self.pending_forwards.sort_unstable();
         out.clear();
         std::mem::swap(&mut self.pending_forwards, out);
     }
 
-    /// Classifies entries into this cycle's ready sets. Allocates; the
-    /// hot path uses [`collect_ready_into`](Self::collect_ready_into).
+    /// Opens a round ([`begin_round`](Self::begin_round)) and returns
+    /// copies of its ready sets. Allocates; for tests and one-shot
+    /// callers — the simulator borrows [`ready_view`](Self::ready_view).
     pub fn collect_ready(&mut self, oldest_not_done: u64) -> ReadyRefs {
-        let mut out = ReadyRefs::default();
-        self.collect_ready_into(oldest_not_done, &mut out);
-        out
+        self.begin_round(oldest_not_done);
+        let cache = self
+            .ready_view()
+            .iter()
+            .map(|r| CacheReady {
+                seq: r.id,
+                addr: r.addr,
+                is_store: r.is_store,
+            })
+            .collect();
+        let mut forwards = Vec::new();
+        self.take_forwards(&mut forwards);
+        ReadyRefs { cache, forwards }
     }
 
     /// Re-checks one ready-list round against the queue's ordering and
     /// forwarding rules, appending any violations to `out`.
     ///
-    /// `ready` must be the result of the matching
-    /// [`collect_ready_into`](Self::collect_ready_into) call with the same
-    /// `oldest_not_done` frontier. A pure observer: it recomputes legality
-    /// independently of the classification scan. Checks:
+    /// `cache` and `forwards` must be this round's
+    /// [`ready_view`](Self::ready_view) and
+    /// [`take_forwards`](Self::take_forwards) results, opened by
+    /// [`begin_round`](Self::begin_round) with the same `oldest_not_done`
+    /// frontier. A pure observer: it recomputes legality independently of
+    /// the event-driven classification. Checks:
     ///
     /// * queue entries are in strict age order (`lsq-age-order`);
     /// * the cache-ready list is in strict age order (`lsq-ready-order`);
@@ -800,7 +733,8 @@ impl Lsq {
     pub fn audit_round(
         &self,
         oldest_not_done: u64,
-        ready: &ReadyRefs,
+        cache: Offered<'_>,
+        forwards: &[u64],
         out: &mut Vec<hbdc_core::Violation>,
     ) {
         use hbdc_core::Violation;
@@ -818,19 +752,16 @@ impl Lsq {
                 ),
             ));
         }
-        for w in ready.cache.windows(2).filter(|w| w[0].seq >= w[1].seq) {
+        for w in cache.ids().windows(2).filter(|w| w[0] >= w[1]) {
             out.push(Violation::new(
                 "lsq-ready-order",
-                format!(
-                    "ready list out of age order: {} then {}",
-                    w[0].seq, w[1].seq
-                ),
+                format!("ready list out of age order: {} then {}", w[0], w[1]),
             ));
         }
-        for c in ready.cache.iter().filter(|c| c.is_store) {
-            let legal = c.seq < oldest_not_done
+        for c in cache.iter().filter(|c| c.is_store) {
+            let legal = c.id < oldest_not_done
                 && self
-                    .entry(c.seq)
+                    .entry(c.id)
                     .is_some_and(|e| e.addr_known && e.data_known && !e.issued);
             if !legal {
                 out.push(Violation::new(
@@ -838,12 +769,12 @@ impl Lsq {
                     format!(
                         "store {} offered to the cache before commit eligibility \
                          (frontier {oldest_not_done})",
-                        c.seq
+                        c.id
                     ),
                 ));
             }
         }
-        for &seq in &ready.forwards {
+        for &seq in forwards {
             let legal = self.entry(seq).is_some_and(|load| {
                 !load.is_store
                     && load.exact_fit
@@ -955,10 +886,6 @@ impl Lsq {
         self.ready_addrs.clear();
         self.ready_stores.clear();
         self.ready_head = 0;
-        // Wholesale rebuild: the offered-set mirrors are re-seeded via
-        // `offer_reset`, so incremental deltas from before the rebuild
-        // (or from this direct repopulation) must not leak through.
-        self.ready_log.clear();
         self.pending_forwards.clear();
         self.unknown_stores.clear();
         self.eligible_stores.clear();
@@ -1282,9 +1209,11 @@ mod tests {
             lsq.mark_addr_known(s);
         }
         lsq.mark_data_known(0);
-        let r = lsq.collect_ready(5);
+        lsq.begin_round(5);
+        let mut forwards = Vec::new();
+        lsq.take_forwards(&mut forwards);
         let mut out = Vec::new();
-        lsq.audit_round(5, &r, &mut out);
+        lsq.audit_round(5, lsq.ready_view(), &forwards, &mut out);
         assert!(out.is_empty(), "{out:?}");
     }
 
@@ -1297,23 +1226,9 @@ mod tests {
         lsq.mark_addr_known(1);
         // Fabricate an illegal round: the store offered ahead of the
         // frontier, the disjoint load reported as a forward, out of order.
-        let bad = ReadyRefs {
-            cache: vec![
-                CacheReady {
-                    seq: 1,
-                    addr: 0x200,
-                    is_store: false,
-                },
-                CacheReady {
-                    seq: 0,
-                    addr: 0x100,
-                    is_store: true,
-                },
-            ],
-            forwards: vec![1],
-        };
+        let bad = Offered::new(&[1, 0], &[0x200, 0x100], &[false, true]);
         let mut out = Vec::new();
-        lsq.audit_round(0, &bad, &mut out);
+        lsq.audit_round(0, bad, &[1], &mut out);
         let rules: Vec<&str> = out.iter().map(|v| v.rule).collect();
         assert!(rules.contains(&"lsq-ready-order"), "{rules:?}");
         assert!(rules.contains(&"lsq-store-early"), "{rules:?}");

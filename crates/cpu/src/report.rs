@@ -54,14 +54,15 @@ pub struct SimReport {
     pub l2_accesses: u64,
     /// L2 misses (DRAM traffic).
     pub l2_misses: u64,
-    /// References offered to the port model across all cycles.
+    /// References offered to the port model, summed over all rounds: a
+    /// reference that waits counts once per round it is offered again.
     pub arb_offered: u64,
     /// References granted by the port model.
     pub arb_granted: u64,
     /// Arbitration rounds in which at least one reference was offered
     /// (empty rounds keep store queues draining but are not counted).
     /// With `arb_offered` this gives the mean offered backlog per busy
-    /// round — the figure the batched-arbitration work optimizes.
+    /// round — the length of view each arbitration walk covers.
     pub arb_rounds: u64,
     /// Bank conflicts (banked and LBIC models; 0 otherwise).
     pub bank_conflicts: u64,

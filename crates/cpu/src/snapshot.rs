@@ -319,13 +319,9 @@ impl Simulator {
         }
         sim.port.load_state(&mut r)?;
         r.expect_end()?;
-        // The port model's offered-set mirror is derived state, never
-        // serialized: the restored simulator starts in the slice-walking
-        // arbitration mode (construction default — delta logging off,
-        // batched round disengaged), and the mirror is re-seeded from the
-        // restored LSQ's live ready view via `offer_reset` if and when
-        // the backlog next engages the batched mode. The snapshot byte
-        // format is unchanged by the batched-round path.
+        // The port model arbitrates straight from the restored LSQ's
+        // ready view (rebuilt by `Lsq::load_state`), so no arbitration
+        // state beyond the model's own `save_state` payload exists.
         Ok(sim)
     }
 }

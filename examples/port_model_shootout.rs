@@ -20,10 +20,7 @@ fn cycles_to_drain(model: &mut dyn PortModel, pattern: &[MemRequest]) -> u32 {
         let granted = model.arbitrate(&pending);
         model.tick();
         cycles += 1;
-        // Remove granted (indices are increasing).
-        for &i in granted.iter().rev() {
-            pending.remove(i);
-        }
+        pending.retain(|r| !granted.contains(r));
         assert!(cycles < 100, "pattern never drains");
     }
     cycles

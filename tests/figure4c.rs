@@ -29,9 +29,7 @@ fn cycles_to_drain(config: PortConfig) -> u32 {
         let granted = model.arbitrate(&pending);
         model.tick();
         cycles += 1;
-        for &i in granted.iter().rev() {
-            pending.remove(i);
-        }
+        pending.retain(|r| !granted.contains(r));
         assert!(cycles < 10, "pattern never drains under {}", model.label());
     }
     cycles
